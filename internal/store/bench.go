@@ -50,15 +50,27 @@ type BenchReport struct {
 	Layouts []BenchLayoutReport `json:"layouts"`
 }
 
-// benchResult builds the i-th synthetic result. Small and realistic:
-// the per-entry envelope lands in the few-hundred-byte range a real
-// sweep cell produces.
+// benchBitLengths are the bit lengths of the benchmark grid's channel
+// cells. A cell's result holds its sent and decoded streams, one int
+// per bit, so the envelope grows from a few hundred bytes at 16 bits to
+// about 4.5 KB at 1024, and read numbers include decoding the streams.
+var benchBitLengths = [...]int{16, 32, 256, 1024}
+
+// benchResult builds the i-th synthetic result, cycling through
+// benchBitLengths.
 func benchResult(hash string, i int) *scenario.Result {
+	n := benchBitLengths[i%len(benchBitLengths)]
+	sent, decoded := make([]int, n), make([]int, n)
+	for b := range sent {
+		sent[b] = (i + b*b) % 2
+		decoded[b] = sent[b]
+	}
+	decoded[i%n] ^= 1
 	return &scenario.Result{
 		Role: scenario.RoleChannel, Processor: "Cannon Lake", Kind: scenario.KindCores,
 		Hash: hash, Seed: 1,
-		Bits: 4, SentBits: []int{1, 0, 1, 1}, DecodedBits: []int{1, 0, 1, 1},
-		ThroughputBPS: 3000.25 + float64(i%97), BER: float64(i%8) / 64,
+		Bits: n, SentBits: sent, DecodedBits: decoded,
+		ThroughputBPS: 3000.25 + float64(i%97), BER: 1 / float64(n), SymbolErrors: 1,
 		ElapsedSimUS: 1234.5 + float64(i%13),
 		Extra:        map[string]float64{"calibration_gap_cycles": float64(4200 + i%29)},
 	}

@@ -10,9 +10,10 @@ package store
 
 import "errors"
 
-// ErrCorrupt marks an envelope that failed verification: malformed
-// JSON, wrong version, wrong identity, or a checksum mismatch. Matched
-// with errors.Is; every decodeEnvelope failure carries it.
+// ErrCorrupt marks an envelope that failed verification: not the exact
+// layout EncodeEnvelope writes, wrong version, wrong identity, a
+// checksum mismatch, or a malformed result. Matched with errors.Is;
+// every decodeEnvelope failure carries it.
 var ErrCorrupt = errors.New("store: corrupt envelope")
 
 // ErrUnavailable marks a fast-fail while the remote circuit breaker is

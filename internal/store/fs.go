@@ -1,9 +1,6 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,18 +11,6 @@ import (
 
 	"ichannels/internal/scenario"
 )
-
-// envelope is the on-disk form of one entry. Result is kept as the raw
-// canonical JSON encoding so the checksum covers exactly the bytes a
-// consumer re-marshals — the byte-identity contract extends through a
-// store round-trip.
-type envelope struct {
-	Version  int             `json:"version"`
-	Hash     string          `json:"hash"`
-	Seed     int64           `json:"seed"`
-	Checksum string          `json:"checksum"`
-	Result   json.RawMessage `json:"result"`
-}
 
 // tmpPrefix marks in-progress writes; GC removes leftovers from killed
 // processes.
@@ -61,13 +46,6 @@ func (f *FS) path(key Key) string {
 	return filepath.Join(f.dir, shard, key.String()+".json")
 }
 
-// checksumOf hashes the canonical result bytes the way envelopes record
-// them.
-func checksumOf(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
-}
-
 // Get implements Store.
 func (f *FS) Get(key Key) (*scenario.Result, bool, error) {
 	data, err := os.ReadFile(f.path(key))
@@ -82,65 +60,6 @@ func (f *FS) Get(key Key) (*scenario.Result, bool, error) {
 		return nil, false, err
 	}
 	return res, true, nil
-}
-
-// EncodeEnvelope wraps a result in the versioned, checksummed envelope
-// the store persists — and the byte format the distributed tier ships
-// over the wire: a worker answers a cell dispatch with exactly these
-// bytes, and the coordinator accepts them only through DecodeEnvelope,
-// so a byzantine or stale worker is detected by the same integrity
-// check a corrupt disk entry is.
-func EncodeEnvelope(key Key, res *scenario.Result) ([]byte, error) {
-	if res == nil {
-		return nil, fmt.Errorf("store: encode %s: nil result", key)
-	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode %s: %w", key, err)
-	}
-	env := envelope{
-		Version: EnvelopeVersion, Hash: key.Hash, Seed: key.Seed,
-		Checksum: checksumOf(raw), Result: raw,
-	}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode %s: %w", key, err)
-	}
-	return data, nil
-}
-
-// DecodeEnvelope validates one envelope's bytes against the key the
-// caller expects — version, identity, and result checksum — and returns
-// the result. It is the read half of EncodeEnvelope, shared by the
-// filesystem store (Get/Verify/GC) and the distributed coordinator
-// (worker-response verification).
-func DecodeEnvelope(key Key, data []byte) (*scenario.Result, error) {
-	return decodeEnvelope(key, data)
-}
-
-// decodeEnvelope validates one entry's bytes against its key and
-// returns the result. Every failure is tagged with ErrCorrupt: the
-// bytes themselves are wrong, so no amount of retrying the same source
-// helps — callers classify these as permanent.
-func decodeEnvelope(key Key, data []byte) (*scenario.Result, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, markCorrupt(fmt.Errorf("store: entry %s: malformed envelope: %w", key, err))
-	}
-	if env.Version != EnvelopeVersion {
-		return nil, markCorrupt(fmt.Errorf("store: entry %s: envelope version %d, want %d", key, env.Version, EnvelopeVersion))
-	}
-	if env.Hash != key.Hash || env.Seed != key.Seed {
-		return nil, markCorrupt(fmt.Errorf("store: entry %s: envelope identifies %s-%d (renamed file?)", key, env.Hash, env.Seed))
-	}
-	if got := checksumOf(env.Result); got != env.Checksum {
-		return nil, markCorrupt(fmt.Errorf("store: entry %s: checksum mismatch (corrupt result payload)", key))
-	}
-	var res scenario.Result
-	if err := json.Unmarshal(env.Result, &res); err != nil {
-		return nil, markCorrupt(fmt.Errorf("store: entry %s: malformed result: %w", key, err))
-	}
-	return &res, nil
 }
 
 // Put implements Store: marshal the canonical envelope, write it to a

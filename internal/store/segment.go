@@ -94,17 +94,11 @@ func ScanSegment(data []byte) (*SegmentScan, error) {
 			break
 		}
 		payload := data[off+4 : off+4+n]
-		var env envelope
-		err := json.Unmarshal(payload, &env)
-		switch {
-		case err != nil, env.Version != EnvelopeVersion, env.Hash == "",
-			checksumOf(env.Result) != env.Checksum:
+		if key, ok := envelopeKey(payload); ok {
+			sc.Entries = append(sc.Entries, SegmentEntry{Key: key, Offset: off, Length: 4 + n})
+		} else {
 			sc.Corrupt++
 			sc.CorruptBytes += 4 + n
-		default:
-			sc.Entries = append(sc.Entries, SegmentEntry{
-				Key: Key{Hash: env.Hash, Seed: env.Seed}, Offset: off, Length: 4 + n,
-			})
 		}
 		off += 4 + n
 		sc.ValidBytes = off
