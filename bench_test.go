@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"ichannels"
+	"ichannels/internal/scenario"
+	"ichannels/internal/soc"
 )
 
 // benchedExperiments maps every benchmarked experiment ID to the
@@ -265,6 +267,49 @@ func BenchmarkScenarioKindCores(b *testing.B) { benchScenarioKind(b, "cores") }
 func BenchmarkScenarioKindRetire(b *testing.B) { benchScenarioKind(b, "retire") }
 
 func BenchmarkScenarioKindClockMod(b *testing.B) { benchScenarioKind(b, "clockmod") }
+
+// heavyCellBits is the payload of the heavy cell: the shape whose
+// simulation dominates a cold sweep (a few ms each, against a few
+// hundred µs for a 16-bit cell).
+const heavyCellBits = 1024
+
+// benchCellHeavy measures one simulated 1024-bit cell of the given kind
+// on a machine recycled from a shared soc.Pool, as sweeps and serve run
+// cells: the "one simulated cell per kind" layer, without machine build
+// cost. The allocation count is the per-cell fixed cost; it must not
+// grow with the payload (see TestCellAllocsIndependentOfBits).
+func benchCellHeavy(b *testing.B, kind string) {
+	if !benchedChannelKinds[kind] {
+		b.Fatalf("kind %s is not in benchedChannelKinds", kind)
+	}
+	r := scenario.Runner{Machines: soc.NewPool()}
+	spec := scenario.Scenario{Role: "channel", Kind: kind, Bits: heavyCellBits}
+	run := func(seed int64) *scenario.Result {
+		res, err := r.RunSeeded(context.Background(), spec, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	run(1) // fill the pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	var last *scenario.Result
+	for i := 0; i < b.N; i++ {
+		last = run(int64(i + 1))
+	}
+	b.ReportMetric(last.BER, "ber")
+}
+
+func BenchmarkCellHeavyThread(b *testing.B) { benchCellHeavy(b, "thread") }
+
+func BenchmarkCellHeavySMT(b *testing.B) { benchCellHeavy(b, "smt") }
+
+func BenchmarkCellHeavyCores(b *testing.B) { benchCellHeavy(b, "cores") }
+
+func BenchmarkCellHeavyRetire(b *testing.B) { benchCellHeavy(b, "retire") }
+
+func BenchmarkCellHeavyClockMod(b *testing.B) { benchCellHeavy(b, "clockmod") }
 
 // batch16Specs is the fixed heterogeneous 16-scenario batch
 // (4 processors × {cross-core channel, same-thread channel, cross-core

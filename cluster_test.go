@@ -14,10 +14,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net/http"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -273,5 +276,37 @@ func TestClusterSharedStore(t *testing.T) {
 	ls := runCLI(t, "store", "ls", storeDir)
 	if got := string(ls[len(ls)-1]); !strings.HasPrefix(got, fmt.Sprintf("%d entries", len(cells))) {
 		t.Errorf("host corpus holds %q, want %d entries", got, len(cells))
+	}
+}
+
+// TestServeDrainsOnSIGTERM stops a serve process the way a process
+// manager does. SIGTERM must take the graceful-shutdown path (drain,
+// exit 0), not kill the process.
+func TestServeDrainsOnSIGTERM(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("no SIGTERM delivery on windows")
+	}
+	w := startServe(t)
+	resp, err := http.Get(w.url + "/v1/experiments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/experiments: %s", resp.Status)
+	}
+	if err := w.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve exited with %v after SIGTERM, want status 0", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not exit within 30 s of SIGTERM")
 	}
 }

@@ -58,12 +58,24 @@ func NewClockMod(m *soc.Machine) (*ClockMod, error) {
 	}, nil
 }
 
-// cmSender issues one duty-cycle write per bit window.
+// cmSender issues one duty-cycle write per bit window. A write reaches
+// the cores ActuationLatency later; writes land in the order they were
+// issued, so the targets in flight wait in a FIFO that one bound apply
+// callback drains, keeping each bit free of closure allocations.
 type cmSender struct {
-	c    *ClockMod
-	base units.Time
-	bits []int
-	idx  int
+	c       *ClockMod
+	base    units.Time
+	bits    []int
+	idx     int
+	pending []float64        // duty targets written but not yet applied, oldest first
+	apply   func(units.Time) // applyOldest, bound once
+}
+
+func (a *cmSender) applyOldest(units.Time) {
+	d := a.pending[0]
+	n := copy(a.pending, a.pending[1:])
+	a.pending = a.pending[:n]
+	a.c.m.PMU.SetClockDuty(d)
 }
 
 func (a *cmSender) Name() string { return "clockmod.sender" }
@@ -77,9 +89,8 @@ func (a *cmSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
 		if bit == 1 {
 			target = a.c.DutyLow
 		}
-		env.M.Q.After(a.c.ActuationLatency, "clockmod.duty.apply", func(units.Time) {
-			env.M.PMU.SetClockDuty(target)
-		})
+		a.pending = append(a.pending, target)
+		env.M.Q.After(a.c.ActuationLatency, "clockmod.duty.apply", a.apply)
 	}
 	if a.idx >= len(a.bits) {
 		return soc.Stop()
@@ -122,6 +133,7 @@ func (a *cmReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
 func (c *ClockMod) run(bits []int) ([]float64, error) {
 	base := c.m.Now().Add(50 * units.Microsecond)
 	snd := &cmSender{c: c, base: base, bits: bits}
+	snd.apply = snd.applyOldest
 	rcv := &cmReceiver{c: c, base: base, windows: len(bits),
 		measures: make([]float64, 0, len(bits))}
 	if _, err := c.m.Bind(c.SenderCore, c.SenderSlot, snd); err != nil {

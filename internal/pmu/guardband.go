@@ -33,7 +33,7 @@ type GuardbandTable struct {
 }
 
 // Validate checks the table invariants.
-func (g GuardbandTable) Validate() error {
+func (g *GuardbandTable) Validate() error {
 	if g.PerClassPerGHz[isa.Scalar64] != 0 {
 		return fmt.Errorf("pmu: scalar guardband must be zero, got %v", g.PerClassPerGHz[isa.Scalar64])
 	}
@@ -62,7 +62,7 @@ func (g GuardbandTable) Validate() error {
 
 // Single returns the guardband for one core holding a license of class c
 // at frequency f.
-func (g GuardbandTable) Single(c isa.Class, f units.Hertz) units.Volt {
+func (g *GuardbandTable) Single(c isa.Class, f units.Hertz) units.Volt {
 	if !c.Valid() {
 		panic(fmt.Sprintf("pmu: invalid class %d", int(c)))
 	}
@@ -73,8 +73,9 @@ func (g GuardbandTable) Single(c isa.Class, f units.Hertz) units.Volt {
 // largest contribution gets weight CoreWeights[0] (=1), the next largest
 // CoreWeights[1], and so on. It runs on every voltage retarget, so the
 // descending order is built by insertion into a stack buffer instead of
-// a heap-allocated sort (core counts are small).
-func (g GuardbandTable) Sum(classes []isa.Class, f units.Hertz) units.Volt {
+// a heap-allocated sort (core counts are small), and the table is taken
+// by pointer rather than copied per call.
+func (g *GuardbandTable) Sum(classes []isa.Class, f units.Hertz) units.Volt {
 	var buf [32]float64
 	contributions := buf[:0]
 	if len(classes) > len(buf) {
@@ -104,15 +105,23 @@ func (g GuardbandTable) Sum(classes []isa.Class, f units.Hertz) units.Volt {
 // Max returns the worst-case guardband: every one of n cores running the
 // highest-intensity power virus. Secure mode (mitigation 3) pins the
 // voltage here.
-func (g GuardbandTable) Max(n int, f units.Hertz) units.Volt {
-	classes := make([]isa.Class, n)
-	for i := range classes {
-		classes[i] = isa.Class(isa.NumClasses - 1)
+//
+// It equals Sum over n top-class licenses (n equal contributions, so the
+// descending order is the input order) without building the slice:
+// secure mode evaluates it at every frequency step it tries.
+func (g *GuardbandTable) Max(n int, f units.Hertz) units.Volt {
+	v := float64(g.Single(isa.Class(isa.NumClasses-1), f))
+	if v <= 0 {
+		return 0
 	}
-	return g.Sum(classes, f)
+	var total float64
+	for i := 0; i < n; i++ {
+		total += v * g.weight(i)
+	}
+	return units.Volt(total)
 }
 
-func (g GuardbandTable) weight(i int) float64 {
+func (g *GuardbandTable) weight(i int) float64 {
 	if i >= len(g.CoreWeights) {
 		return g.CoreWeights[len(g.CoreWeights)-1]
 	}

@@ -104,10 +104,34 @@ const (
 )
 
 type transition struct {
-	kind   transKind
-	core   int
-	class  isa.Class
+	kind  transKind
+	core  int
+	class isa.Class
+	// toFreq is the clock the transition relocks the PLL to: the
+	// requested one for transFreqDown, the limit-capped one for
+	// transFreqUp, and the protective downshift target for a transGrant
+	// that needs one.
 	toFreq units.Hertz
+}
+
+// regulator is one voltage regulator's transition state. A regulator
+// runs one transition at a time — the rest wait in queue — so the
+// in-flight transition and its tentative license vector need only one
+// slot per regulator: nothing can overwrite them before finish. The
+// event callbacks are bound once in AttachCores and read that state,
+// keeping every transition free of closure and slice allocations.
+type regulator struct {
+	vr    *pdn.Regulator
+	busy  bool
+	queue []transition // FIFO; dequeued by shifting, reusing the array
+
+	cur       transition  // in flight
+	tentative []isa.Class // licenses with cur's grant applied
+
+	relocked      func(units.Time) // "pmu.pll.relock"
+	granted       func(units.Time) // "pmu.grant.settle"
+	settled       func(units.Time) // retarget / freq-down settle: finish
+	freqUpSettled func(units.Time) // freq-up: relock at the new clock
 }
 
 // Stats counts PMU activity, exposed for experiments and tests.
@@ -127,7 +151,7 @@ type PMU struct {
 	cfg   Config
 	q     *sched.Queue
 	cores []Core
-	regs  []*pdn.Regulator
+	regs  []regulator
 
 	lic       []isa.Class
 	lastTouch [][isa.NumClasses]units.Time
@@ -135,12 +159,10 @@ type PMU struct {
 	decayFn   []func(units.Time) // prebound per-core decay callbacks
 	decayName []string           // precomputed event names
 
-	busy  []bool
-	queue [][]transition
-
 	curFreq       units.Hertz
 	lastDownshift units.Time
 	restoreEv     sched.EventRef
+	restoreFn     func(units.Time) // prebound restore check
 	restoreQueued bool
 
 	secure      bool
@@ -192,13 +214,38 @@ func (p *PMU) AttachCores(cores []Core) error {
 			p.decayCheck(coreID, now)
 		}
 	}
+	p.restoreFn = func(now units.Time) {
+		p.restoreEv = sched.EventRef{}
+		p.maybeRestoreFrequency(now)
+	}
 	nregs := 1
 	if p.cfg.PerCoreVR {
 		nregs = n
 	}
-	p.busy = make([]bool, nregs)
-	p.queue = make([][]transition, nregs)
+	p.regs = make([]regulator, nregs)
+	for i := range p.regs {
+		p.bindRegulator(i)
+	}
 	return nil
+}
+
+// bindRegulator allocates regulator ri's license buffer and binds its
+// transition callbacks.
+func (p *PMU) bindRegulator(ri int) {
+	r := &p.regs[ri]
+	r.tentative = make([]isa.Class, len(p.cores))
+	r.relocked = func(t units.Time) { p.relocked(ri, t) }
+	r.granted = func(t units.Time) {
+		tr := &r.cur
+		if tr.class > p.lic[tr.core] {
+			p.lic[tr.core] = tr.class
+		}
+		p.stats.Grants++
+		p.cores[tr.core].GrantLicense(tr.class, t)
+		p.finish(ri)
+	}
+	r.settled = func(units.Time) { p.finish(ri) }
+	r.freqUpSettled = func(t units.Time) { p.switchFrequency(ri, t) }
 }
 
 // Initialize settles the PMU at the requested operating point: frequency
@@ -212,7 +259,7 @@ func (p *PMU) Initialize() error {
 		return fmt.Errorf("pmu: double Initialize")
 	}
 	now := p.q.Now()
-	f := p.maxFreqAllowed(p.licSnapshot())
+	f := p.maxFreqAllowed(p.lic)
 	if f <= 0 {
 		return fmt.Errorf("pmu: no frequency satisfies the electrical limits even for scalar code")
 	}
@@ -221,14 +268,12 @@ func (p *PMU) Initialize() error {
 		c.SetFrequency(f, now)
 	}
 	v0 := p.cfg.VF.Voltage(f)
-	nregs := len(p.busy)
-	p.regs = make([]*pdn.Regulator, nregs)
 	for i := range p.regs {
-		r, err := pdn.NewRegulator(p.cfg.VR, v0)
+		vr, err := pdn.NewRegulator(p.cfg.VR, v0)
 		if err != nil {
 			return err
 		}
-		p.regs[i] = r
+		p.regs[i].vr = vr
 	}
 	p.lastDownshift = longAgo
 	p.initialized = true
@@ -262,9 +307,9 @@ func (p *PMU) Reset(cfg Config) error {
 			p.lastTouch[i][c] = longAgo
 		}
 	}
-	for i := range p.busy {
-		p.busy[i] = false
-		p.queue[i] = p.queue[i][:0]
+	for i := range p.regs {
+		p.regs[i].busy = false
+		p.regs[i].queue = p.regs[i].queue[:0]
 	}
 	// Re-settle at the requested operating point, exactly as Initialize.
 	now := p.q.Now()
@@ -277,8 +322,8 @@ func (p *PMU) Reset(cfg Config) error {
 		c.SetFrequency(f, now)
 	}
 	v0 := p.cfg.VF.Voltage(f)
-	for _, r := range p.regs {
-		if err := r.Reset(p.cfg.VR, v0); err != nil {
+	for i := range p.regs {
+		if err := p.regs[i].vr.Reset(p.cfg.VR, v0); err != nil {
 			return err
 		}
 	}
@@ -302,13 +347,13 @@ func (p *PMU) Licenses() []isa.Class {
 // Voltage returns the instantaneous output of the regulator feeding core
 // coreID (the shared regulator when PerCoreVR is off).
 func (p *PMU) Voltage(coreID int, now units.Time) units.Volt {
-	return p.regs[p.regIndex(coreID)].Voltage(now)
+	return p.regs[p.regIndex(coreID)].vr.Voltage(now)
 }
 
 // TargetVoltage returns the voltage the regulator for coreID is settling
 // toward.
 func (p *PMU) TargetVoltage(coreID int) units.Volt {
-	return p.regs[p.regIndex(coreID)].Target()
+	return p.regs[p.regIndex(coreID)].vr.Target()
 }
 
 // Secure reports whether secure mode is active.
@@ -477,13 +522,6 @@ func (p *PMU) decayCheck(coreID int, now units.Time) {
 	}
 }
 
-// licSnapshot copies the granted licenses.
-func (p *PMU) licSnapshot() []isa.Class {
-	out := make([]isa.Class, len(p.lic))
-	copy(out, p.lic)
-	return out
-}
-
 // targetVoltage computes the voltage regulator ri should hold for the
 // given per-core licenses at frequency f.
 func (p *PMU) targetVoltage(ri int, licenses []isa.Class, f units.Hertz) units.Volt {
@@ -545,135 +583,139 @@ func (p *PMU) maxFreqAllowed(licenses []isa.Class) units.Hertz {
 // regulator, requests from other cores waiting behind it — is the
 // mechanism behind Multi-Throttling-Cores (paper §4.3.1).
 func (p *PMU) enqueue(ri int, tr transition) {
-	if p.busy[ri] || len(p.queue[ri]) > 0 {
+	r := &p.regs[ri]
+	if r.busy || len(r.queue) > 0 {
 		p.stats.SerializedWaits++
 	}
-	p.queue[ri] = append(p.queue[ri], tr)
+	r.queue = append(r.queue, tr)
 	p.kick(ri)
 }
 
 func (p *PMU) kick(ri int) {
-	if p.busy[ri] || len(p.queue[ri]) == 0 {
+	r := &p.regs[ri]
+	if r.busy || len(r.queue) == 0 {
 		return
 	}
-	tr := p.queue[ri][0]
-	p.queue[ri] = p.queue[ri][1:]
-	p.busy[ri] = true
+	r.cur = r.queue[0]
+	n := copy(r.queue, r.queue[1:])
+	r.queue = r.queue[:n]
+	r.busy = true
 	p.stats.Transitions++
-	p.process(ri, tr)
+	p.process(ri)
 }
 
 func (p *PMU) finish(ri int) {
-	p.busy[ri] = false
+	p.regs[ri].busy = false
 	p.maybeRestoreFrequency(p.q.Now())
 	p.kick(ri)
 }
 
-func (p *PMU) process(ri int, tr transition) {
+// process starts regulator ri's in-flight transition.
+func (p *PMU) process(ri int) {
+	r := &p.regs[ri]
+	tr := &r.cur
 	now := p.q.Now()
 	switch tr.kind {
 	case transGrant:
-		tentative := p.licSnapshot()
-		if tr.class > tentative[tr.core] {
-			tentative[tr.core] = tr.class
+		copy(r.tentative, p.lic)
+		if tr.class > r.tentative[tr.core] {
+			r.tentative[tr.core] = tr.class
 		}
-		fOK := p.maxFreqAllowed(tentative)
+		fOK := p.maxFreqAllowed(r.tentative)
 		if fOK <= 0 {
 			fOK = p.cfg.FreqStep
 		}
 		if fOK < p.curFreq {
 			// Iccmax/Vccmax protection: reduce frequency before
 			// raising the guardband (paper §5.3).
-			p.downshiftThen(fOK, func(units.Time) { p.rampForGrant(ri, tr, tentative) })
+			tr.toFreq = fOK
+			p.downshift(ri)
 			return
 		}
-		p.rampForGrant(ri, tr, tentative)
+		p.rampForGrant(ri)
 
 	case transRetarget:
 		target := p.targetVoltage(ri, p.lic, p.curFreq)
-		settle := p.regs[ri].SetTarget(now, target)
-		p.q.At(settle, "pmu.retarget.settle", func(units.Time) { p.finish(ri) })
+		settle := r.vr.SetTarget(now, target)
+		p.q.At(settle, "pmu.retarget.settle", r.settled)
 
 	case transFreqDown:
-		to := tr.toFreq
-		if to >= p.curFreq {
+		if tr.toFreq >= p.curFreq {
 			p.finish(ri)
 			return
 		}
 		// Switch the clock first, then relax the voltage to the new
 		// operating point.
-		p.switchFrequency(to, now, func(t2 units.Time) {
-			target := p.targetVoltage(ri, p.lic, to)
-			settle := p.regs[ri].SetTarget(t2, target)
-			p.q.At(settle, "pmu.freqdown.vsettle", func(units.Time) { p.finish(ri) })
-		})
+		p.switchFrequency(ri, now)
 
 	case transFreqUp:
 		fOK := p.maxFreqAllowed(p.lic)
-		to := tr.toFreq
-		if to > fOK {
-			to = fOK
+		if tr.toFreq > fOK {
+			tr.toFreq = fOK
 		}
-		if to <= p.curFreq {
+		if tr.toFreq <= p.curFreq {
 			p.restoreQueued = false
 			p.finish(ri)
 			return
 		}
 		// Raise the voltage for the new frequency first, then relock
 		// the PLL.
-		target := p.targetVoltage(ri, p.lic, to)
-		settle := p.regs[ri].SetTarget(now, target)
-		p.q.At(settle, "pmu.frequp.vsettle", func(t2 units.Time) {
-			p.switchFrequency(to, t2, func(units.Time) {
-				p.stats.FreqRestores++
-				p.restoreQueued = false
-				p.finish(ri)
-			})
-		})
+		target := p.targetVoltage(ri, p.lic, tr.toFreq)
+		settle := r.vr.SetTarget(now, target)
+		p.q.At(settle, "pmu.frequp.vsettle", r.freqUpSettled)
 	}
 }
 
-func (p *PMU) rampForGrant(ri int, tr transition, tentative []isa.Class) {
-	now := p.q.Now()
-	target := p.targetVoltage(ri, tentative, p.curFreq)
-	settle := p.regs[ri].SetTarget(now, target)
-	p.q.At(settle, "pmu.grant.settle", func(t2 units.Time) {
-		if tr.class > p.lic[tr.core] {
-			p.lic[tr.core] = tr.class
-		}
-		p.stats.Grants++
-		p.cores[tr.core].GrantLicense(tr.class, t2)
-		p.finish(ri)
-	})
+// rampForGrant raises regulator ri to the guardband of its in-flight
+// grant's tentative licenses; the grant lands when the ramp settles.
+func (p *PMU) rampForGrant(ri int) {
+	r := &p.regs[ri]
+	target := p.targetVoltage(ri, r.tentative, p.curFreq)
+	settle := r.vr.SetTarget(p.q.Now(), target)
+	p.q.At(settle, "pmu.grant.settle", r.granted)
 }
 
-// downshiftThen halts all cores, relocks the PLL at the lower frequency,
-// resumes, and then continues with cont.
-func (p *PMU) downshiftThen(to units.Hertz, cont func(units.Time)) {
+// downshift starts the protective frequency reduction in front of
+// regulator ri's grant.
+func (p *PMU) downshift(ri int) {
 	now := p.q.Now()
 	p.stats.FreqDownshifts++
 	p.lastDownshift = now
-	p.switchFrequency(to, now, cont)
+	p.switchFrequency(ri, now)
 	// Plan a restore check once the protection window has passed.
 	p.scheduleRestoreCheck(now.Add(p.cfg.FreqRestoreDelay))
 }
 
-// switchFrequency performs the PLL relock: all cores halt for PLLRelock,
-// then run at the new frequency.
-func (p *PMU) switchFrequency(to units.Hertz, now units.Time, cont func(units.Time)) {
+// switchFrequency starts the PLL relock to regulator ri's in-flight
+// toFreq: all cores halt for PLLRelock.
+func (p *PMU) switchFrequency(ri int, now units.Time) {
 	for _, c := range p.cores {
 		c.SetHalted(true, now)
 	}
-	p.q.At(now.Add(p.cfg.PLLRelock), "pmu.pll.relock", func(t2 units.Time) {
-		p.curFreq = to
-		for _, c := range p.cores {
-			c.SetFrequency(to, t2)
-			c.SetHalted(false, t2)
-		}
-		if cont != nil {
-			cont(t2)
-		}
-	})
+	p.q.At(now.Add(p.cfg.PLLRelock), "pmu.pll.relock", p.regs[ri].relocked)
+}
+
+// relocked ends the PLL relock — the cores resume at the new frequency —
+// and continues regulator ri's transition.
+func (p *PMU) relocked(ri int, now units.Time) {
+	r := &p.regs[ri]
+	p.curFreq = r.cur.toFreq
+	for _, c := range p.cores {
+		c.SetFrequency(p.curFreq, now)
+		c.SetHalted(false, now)
+	}
+	switch r.cur.kind {
+	case transGrant:
+		p.rampForGrant(ri)
+	case transFreqDown:
+		target := p.targetVoltage(ri, p.lic, p.curFreq)
+		settle := r.vr.SetTarget(now, target)
+		p.q.At(settle, "pmu.freqdown.vsettle", r.settled)
+	case transFreqUp:
+		p.stats.FreqRestores++
+		p.restoreQueued = false
+		p.finish(ri)
+	}
 }
 
 func (p *PMU) scheduleRestoreCheck(at units.Time) {
@@ -681,10 +723,7 @@ func (p *PMU) scheduleRestoreCheck(at units.Time) {
 		return
 	}
 	p.q.Cancel(p.restoreEv)
-	p.restoreEv = p.q.At(at, "pmu.freq.restorecheck", func(now units.Time) {
-		p.restoreEv = sched.EventRef{}
-		p.maybeRestoreFrequency(now)
-	})
+	p.restoreEv = p.q.At(at, "pmu.freq.restorecheck", p.restoreFn)
 }
 
 // maybeRestoreFrequency queues a frequency-up transition when the

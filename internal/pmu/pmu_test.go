@@ -121,7 +121,8 @@ func TestSetClockDutyFansOut(t *testing.T) {
 }
 
 func TestGuardbandValidate(t *testing.T) {
-	if err := testGuardband().Validate(); err != nil {
+	good := testGuardband()
+	if err := good.Validate(); err != nil {
 		t.Fatalf("valid table rejected: %v", err)
 	}
 	bad := testGuardband()

@@ -116,15 +116,15 @@ type SWThread struct {
 	agent   Agent
 	stopped bool
 
-	// In-flight action state and the reused Result. One hardware thread
-	// runs one action at a time, so a single pending slot per thread
-	// suffices; binding the completion callbacks once per thread keeps
-	// the agent transition loop — the single hottest path of the
-	// simulator — free of per-step closure and Result allocations.
-	pendAct    Action
-	pendStart  units.Time
-	pendTSC    int64
-	pendCtr    uarch.Counters
+	// The reused Result doubles as the in-flight action's state. One
+	// hardware thread runs one action at a time, so step writes the
+	// action, its start time and start TSC straight into res (and the
+	// start counters into res.Counters, replaced by the delta on
+	// completion); the completion callbacks fill in the end and hand the
+	// same storage to the agent as prev. Binding those callbacks once
+	// per thread keeps the agent transition loop — the single hottest
+	// path of the simulator — free of per-step closure and Result
+	// allocations and copies.
 	res        Result
 	onDone     func(units.Time) // completes ActExec / ActSpinUntil
 	onIdleDone func(units.Time) // completes ActIdleFor
@@ -182,10 +182,6 @@ func (m *Machine) newThread() *SWThread {
 		m.freeTh[n-1] = nil
 		m.freeTh = m.freeTh[:n-1]
 		t.stopped = false
-		t.pendAct = Action{}
-		t.pendStart = 0
-		t.pendTSC = 0
-		t.pendCtr = uarch.Counters{}
 		t.res = Result{}
 		return t
 	}
@@ -212,28 +208,25 @@ func (m *Machine) retire(t *SWThread) {
 	m.retired = append(m.retired, t)
 }
 
-// completeMeasured finishes an ActExec/ActSpinUntil action: fill the
-// thread's reused Result from the pending state and step the agent.
+// completeMeasured finishes an ActExec/ActSpinUntil action: complete
+// the thread's reused Result in place and step the agent.
 func (t *SWThread) completeMeasured(end units.Time) {
 	m := t.m
-	core := m.Cores[t.env.CoreID]
-	t.res = Result{
-		Action: t.pendAct, Start: t.pendStart, End: end,
-		StartTSC: t.pendTSC, EndTSC: m.ReadTSC(end),
-		Counters: core.Counters(t.env.Slot, end).Sub(t.pendCtr),
-	}
-	m.step(t, &t.res)
+	r := &t.res
+	r.End = end
+	r.EndTSC = m.ReadTSC(end)
+	r.Counters = m.Cores[t.env.CoreID].Counters(t.env.Slot, end).Sub(r.Counters)
+	m.step(t, r)
 }
 
 // completeIdle finishes an ActIdleFor action (no counters: the thread
 // was off-core).
 func (t *SWThread) completeIdle(end units.Time) {
 	m := t.m
-	t.res = Result{
-		Action: t.pendAct, Start: t.pendStart, End: end,
-		StartTSC: t.pendTSC, EndTSC: m.TSC(end),
-	}
-	m.step(t, &t.res)
+	r := &t.res
+	r.End = end
+	r.EndTSC = m.TSC(end)
+	m.step(t, r)
 }
 
 // step drives one agent transition: deliver the previous result, obtain
@@ -242,7 +235,11 @@ func (m *Machine) step(t *SWThread, prev *Result) {
 	if t.stopped {
 		return
 	}
-	act := t.agent.Next(&t.env, prev)
+	// prev is &t.res and is only read inside Next, so the next action
+	// can take its place as soon as Next returns.
+	r := &t.res
+	r.Action = t.agent.Next(&t.env, prev)
+	act := &r.Action
 	core := m.Cores[t.env.CoreID]
 	now := m.Q.Now()
 	switch act.Kind {
@@ -251,20 +248,21 @@ func (m *Machine) step(t *SWThread, prev *Result) {
 		m.retire(t)
 
 	case ActExec:
-		t.pendAct, t.pendStart = act, now
-		t.pendCtr = core.Counters(t.env.Slot, now)
-		t.pendTSC = m.ReadTSC(now)
+		r.Start = now
+		r.Counters = core.Counters(t.env.Slot, now)
+		r.StartTSC = m.ReadTSC(now)
 		core.Start(t.env.Slot, act.Kernel, act.Iters, t.onDone)
 
 	case ActSpinUntil:
-		t.pendAct, t.pendStart = act, now
-		t.pendCtr = core.Counters(t.env.Slot, now)
-		t.pendTSC = m.ReadTSC(now)
+		r.Start = now
+		r.Counters = core.Counters(t.env.Slot, now)
+		r.StartTSC = m.ReadTSC(now)
 		core.Spin(t.env.Slot, act.Until, t.onDone)
 
 	case ActIdleFor:
-		t.pendAct, t.pendStart = act, now
-		t.pendTSC = m.TSC(now)
+		r.Start = now
+		r.Counters = uarch.Counters{}
+		r.StartTSC = m.TSC(now)
 		m.Q.After(act.Dur, t.idleName, t.onIdleDone)
 
 	default:

@@ -54,24 +54,32 @@ type noiseInjector struct {
 func newNoiseInjector(m *Machine, cfg NoiseConfig) *noiseInjector {
 	n := &noiseInjector{m: m, cfg: cfg}
 	if cfg.InterruptRate > 0 {
-		n.scheduleNext(cfg.InterruptRate, "soc.noise.irq", cfg.InterruptMin, cfg.InterruptMax)
+		n.stream(cfg.InterruptRate, "soc.noise.irq", cfg.InterruptMin, cfg.InterruptMax)
 	}
 	if cfg.CtxSwitchRate > 0 {
-		n.scheduleNext(cfg.CtxSwitchRate, "soc.noise.ctx", cfg.CtxSwitchMin, cfg.CtxSwitchMax)
+		n.stream(cfg.CtxSwitchRate, "soc.noise.ctx", cfg.CtxSwitchMin, cfg.CtxSwitchMax)
 	}
 	return n
 }
 
+// stream starts the Poisson arrivals of one event type. The arrival
+// callback is bound once per stream, so re-arming it allocates nothing.
+func (n *noiseInjector) stream(rate float64, name string, dmin, dmax units.Duration) {
+	var arrive func(units.Time)
+	arrive = func(units.Time) {
+		n.fire(dmin, dmax)
+		n.scheduleNext(rate, name, arrive)
+	}
+	n.scheduleNext(rate, name, arrive)
+}
+
 // scheduleNext arms the next Poisson arrival for one event type.
-func (n *noiseInjector) scheduleNext(rate float64, name string, dmin, dmax units.Duration) {
+func (n *noiseInjector) scheduleNext(rate float64, name string, arrive func(units.Time)) {
 	gap := units.FromSeconds(n.exp(1 / rate))
 	if gap < 1 {
 		gap = 1
 	}
-	n.m.Q.After(gap, name, func(units.Time) {
-		n.fire(dmin, dmax)
-		n.scheduleNext(rate, name, dmin, dmax)
-	})
+	n.m.Q.After(gap, name, arrive)
 }
 
 // fire preempts one randomly chosen bound hardware thread for a uniformly
