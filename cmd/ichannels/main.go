@@ -4,11 +4,11 @@
 // Usage:
 //
 //	ichannels list                      list available experiments
-//	ichannels exp <id> [-seed N]        run one experiment (e.g. fig10a)
+//	ichannels exp <id...> [-seed N]     run experiments serially (e.g. fig10a)
 //	ichannels exp all [-seed N]         run every experiment serially
-//	ichannels run [ids...|--all] [-parallel N] [-seed N] [-json]
-//	                                    batch experiments on a worker pool
-//	ichannels scenario run spec.json    run declarative scenario spec(s)
+//	ichannels scenario run spec.json    run declarative scenario spec(s);
+//	                                    examples/scenarios/specs/paper_figures.json
+//	                                    batches every experiment on a worker pool
 //	ichannels scenario schema           print the scenario JSON schema
 //	ichannels sweep run sweep.json      expand and run a parameter grid
 //	ichannels sweep expand sweep.json   print a grid's expanded cells
@@ -30,6 +30,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -48,8 +49,6 @@ func main() {
 		err = list()
 	case "exp":
 		err = runExp(os.Args[2:])
-	case "run":
-		err = runBatch(os.Args[2:])
 	case "scenario":
 		err = scenarioCmd(os.Args[2:])
 	case "sweep":
@@ -79,9 +78,9 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ichannels list                      list available experiments
-  ichannels exp <id>|all [-seed N]    regenerate paper figures/tables (serial)
-  ichannels run [ids...] [--all] [-parallel N] [-seed N] [-json]
-                                      batch experiments on a worker pool
+  ichannels exp <id...>|all [-seed N] regenerate paper figures/tables (serial, exact seed;
+                                      for a parallel batch, scenario run
+                                      examples/scenarios/specs/paper_figures.json)
   ichannels scenario run <spec.json...|-> [-parallel N] [-seed N] [-json|-ndjson] [-store DIR|URL [-cache DIR] [-resume]]
                                       run declarative scenario spec(s) (object or array per file)
   ichannels scenario schema           print the scenario spec JSON schema
@@ -116,7 +115,7 @@ func usage() {
                   [-gc-every DUR [-max-age DUR] [-max-bytes N]]
                                       HTTP v1 API: GET /v1/experiments, GET /v1/scenarios/schema,
                                       POST /v1/scenarios, POST /v1/sweeps, GET /v1/sweeps/schema,
-                                      GET /v1/stats (+ legacy /experiments, /run/{name};
+                                      GET /v1/stats (a paper figure is an experiment-role scenario;
                                       -store = durable result tier, either layout or a remote URL;
                                       -cache layers a local read-through replica over a remote URL;
                                       -worker adds POST /v1/cells, the distributed sweep cell endpoint;
@@ -138,79 +137,6 @@ func list() error {
 	return nil
 }
 
-// runBatch executes experiments through the parallel engine. Reports go
-// to stdout (deterministic for a fixed seed, regardless of -parallel);
-// per-experiment timing goes to stderr.
-func runBatch(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	all := fs.Bool("all", false, "run every registered experiment")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size")
-	seed := fs.Int64("seed", 1, "base seed (per-experiment seeds derive from it)")
-	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON batch instead of text reports")
-	// Accept experiment ids and flags in any order ("run fig13 -seed 7",
-	// "run -json fig11 -seed 7"), matching the exp subcommand's id-first
-	// convention: alternate between collecting non-flag tokens as ids
-	// and handing the rest back to the flag parser.
-	var ids []string
-	rest := args
-	for len(rest) > 0 {
-		for len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
-			ids = append(ids, rest[0])
-			rest = rest[1:]
-		}
-		if len(rest) == 0 {
-			break
-		}
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		if len(fs.Args()) == len(rest) {
-			return fmt.Errorf("run: unexpected argument %q", rest[0])
-		}
-		rest = fs.Args()
-	}
-	if *all && len(ids) > 0 {
-		return errors.New("run: give either --all or explicit experiment ids, not both")
-	}
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			return fmt.Errorf("run: experiment %q given more than once (same seed would just repeat the report)", id)
-		}
-		seen[id] = true
-	}
-	if !*all && len(ids) == 0 {
-		return errors.New("run: no experiments selected (pass ids or --all; see 'ichannels list')")
-	}
-	if *all {
-		ids = nil // engine default: every registered experiment
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	batch, err := ichannels.RunExperiments(ctx, ichannels.BatchOptions{
-		IDs: ids, BaseSeed: *seed, Parallel: *parallel,
-	})
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		if err := batch.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-	} else {
-		if err := batch.WriteText(os.Stdout); err != nil {
-			return err
-		}
-	}
-	batch.WriteTiming(os.Stderr)
-	if failed := batch.Failed(); len(failed) > 0 {
-		return fmt.Errorf("run: %d of %d experiments failed (first: %s: %v)",
-			len(failed), len(batch.Results), failed[0].ID, failed[0].Err)
-	}
-	return nil
-}
-
 // scenarioCmd dispatches the scenario subcommands.
 func scenarioCmd(args []string) error {
 	if len(args) < 1 {
@@ -227,9 +153,10 @@ func scenarioCmd(args []string) error {
 	}
 }
 
-// splitFilesAndFlags separates positional file paths ("-" = stdin) from
-// flags, accepting them in any order, and parses the flags into fs —
-// the one arg loop the scenario and sweep subcommands share.
+// splitFilesAndFlags separates positional arguments (file paths with
+// "-" = stdin, or experiment IDs) from flags, accepting them in any
+// order, and parses the flags into fs — the one arg loop the exp,
+// scenario and sweep subcommands share.
 func splitFilesAndFlags(cmd string, args []string, fs *flag.FlagSet) ([]string, error) {
 	var files []string
 	rest := args
@@ -839,123 +766,93 @@ func serveCmd(args []string) error {
 	}
 }
 
+// runExp regenerates the selected figures serially, each at exactly the
+// -seed given, printing each report followed by a blank line.
 func runExp(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("exp: missing experiment id (try 'ichannels list')")
-	}
-	id := args[0]
 	fs := flag.NewFlagSet("exp", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "simulation seed")
-	if err := fs.Parse(args[1:]); err != nil {
+	ids, err := splitFilesAndFlags("exp", args, fs)
+	if err != nil {
 		return err
 	}
-	run := func(id string) error {
+	if ids, err = selectExperiments(ids); err != nil {
+		return err
+	}
+	for _, id := range ids {
 		rep, err := ichannels.RunExperiment(id, *seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		fmt.Println(rep)
-		return nil
 	}
-	if id == "all" {
-		for _, e := range ichannels.Experiments() {
-			if err := run(e.ID); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return run(id)
+	return nil
 }
 
+// selectExperiments resolves exp's positional arguments — registered
+// IDs, or the single word "all" for every experiment in definition
+// order — rejecting unknown, repeated, or mixed selections before
+// anything runs.
+func selectExperiments(args []string) ([]string, error) {
+	var all []string
+	for _, e := range ichannels.Experiments() {
+		all = append(all, e.ID)
+	}
+	if len(args) == 0 {
+		return nil, errors.New("exp: missing experiment id (try 'ichannels list')")
+	}
+	if len(args) == 1 && args[0] == "all" {
+		return all, nil
+	}
+	seen := map[string]bool{}
+	for _, id := range args {
+		switch {
+		case id == "all":
+			return nil, errors.New("exp: give either all or experiment ids, not both")
+		case !slices.Contains(all, id):
+			return nil, fmt.Errorf("exp: unknown experiment %q (try 'ichannels list')", id)
+		case seen[id]:
+			return nil, fmt.Errorf("exp: experiment %q given more than once", id)
+		}
+		seen[id] = true
+	}
+	return args, nil
+}
+
+// demo exfiltrates a message over one registered channel kind through
+// the scenario path: a Cannon Lake machine with OS noise (500
+// interrupts/s, 100 context switches/s, 200 cycles of TSC jitter), 8
+// calibration rounds, and the §6.3 Hamming(7,4) framing at interleave
+// depth 7.
 func demo(args []string) error {
 	fs := flag.NewFlagSet("demo", flag.ContinueOnError)
-	kindName := fs.String("kind", "cores",
+	kind := fs.String("kind", "cores",
 		"channel kind: "+strings.Join(ichannels.ChannelKindNames(), ", "))
 	msg := fs.String("msg", "IChannels", "message to exfiltrate")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var kind ichannels.ChannelKind
-	switch *kindName {
-	case "thread":
-		kind = ichannels.SameThread
-	case "smt":
-		kind = ichannels.SMT
-	case "cores":
-		kind = ichannels.CrossCore
-	default:
-		if ichannels.ChannelKindDescribe(*kindName) != "" {
-			// An adopted family (retire, clockmod): run it through the
-			// scenario path, which knows how to build and decode it.
-			return demoScenario(*kindName, *msg, *seed)
-		}
-		return fmt.Errorf("demo: unknown kind %q (%s)", *kindName,
-			strings.Join(ichannels.ChannelKindNames(), ", "))
-	}
-
-	proc := ichannels.CannonLake8121U()
-	m, err := ichannels.NewMachine(ichannels.MachineOptions{
-		Processor:       proc,
-		Noise:           ichannels.NoiseWithRates(500, 100),
-		TSCJitterCycles: 200,
-		Seed:            *seed,
-	})
-	if err != nil {
-		return err
-	}
-	ch, err := ichannels.NewChannel(m, ichannels.DefaultChannelParams(kind, proc))
-	if err != nil {
-		return err
-	}
-	cal, err := ch.Calibrate(8)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%v on %s: calibrated, level means %v cycles (gap %.0f)\n",
-		kind, proc.Name, cal.MeanCycles, cal.Gap)
-
-	frame, err := ichannels.EncodeFrame([]byte(*msg), 7)
-	if err != nil {
-		return err
-	}
-	res, err := ch.Transmit(frame)
-	if err != nil {
-		return err
-	}
-	payload, corrected, err := ichannels.DecodeFrame(res.DecodedBits, 7)
-	if err != nil {
-		return fmt.Errorf("frame unrecoverable after channel errors: %w", err)
-	}
-	fmt.Printf("sent %d bits in %v (%.0f b/s raw, channel BER %.4f, %d bits ECC-corrected)\n",
-		len(frame), res.Elapsed, res.ThroughputBPS, res.BER, corrected)
-	fmt.Printf("exfiltrated message: %q\n", string(payload))
-	return nil
-}
-
-// demoScenario exfiltrates the message over a registry channel family
-// (retire, clockmod) via the declarative scenario path.
-func demoScenario(kind, msg string, seed int64) error {
 	res, err := ichannels.RunScenario(context.Background(), ichannels.Scenario{
 		Role:    "channel",
-		Kind:    kind,
-		Payload: msg,
-		Seed:    seed,
+		Kind:    *kind,
+		Payload: *msg,
+		Seed:    *seed,
+		Noise:   &ichannels.ScenarioNoise{InterruptsPerSec: 500, CtxSwitchesPerSec: 100, TSCJitterCycles: 200},
+		Coding:  &ichannels.ScenarioCoding{InterleaveDepth: 7},
+		Params:  &ichannels.ScenarioParams{CalibReps: 8},
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s (%s; %s): calibration gap %.0f cycles\n",
-		kind, ichannels.ChannelKindDescribe(kind), ichannels.ChannelKindSource(kind),
+	fmt.Printf("%s on %s (%s; %s): calibration gap %.0f cycles\n",
+		*kind, res.Processor, ichannels.ChannelKindDescribe(*kind), ichannels.ChannelKindSource(*kind),
 		res.Extra["calibration_gap_cycles"])
-	fmt.Printf("sent %d bits in %.0f µs (%.0f b/s raw, channel BER %.4f)\n",
-		res.Bits, res.ElapsedSimUS, res.ThroughputBPS, res.BER)
-	if res.DecodedPayload != "" {
-		fmt.Printf("exfiltrated message: %q\n", res.DecodedPayload)
-	} else {
-		fmt.Printf("message not recovered (notes: %v)\n", res.Notes)
+	fmt.Printf("sent %d bits in %.0f µs (%.0f b/s raw, channel BER %.4f, %.0f bits ECC-corrected)\n",
+		res.Bits, res.ElapsedSimUS, res.ThroughputBPS, res.BER, res.Extra["ecc_corrected_bits"])
+	if res.DecodedPayload == "" {
+		return fmt.Errorf("demo: message not recovered (%s)", strings.Join(res.Notes, "; "))
 	}
+	fmt.Printf("exfiltrated message: %q\n", res.DecodedPayload)
 	return nil
 }
 

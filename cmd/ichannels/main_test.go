@@ -2,10 +2,13 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ichannels"
 )
 
 func TestDecodeSpecs(t *testing.T) {
@@ -55,5 +58,88 @@ func TestLoadSweep(t *testing.T) {
 	par := fs.Int("parallel", 1, "")
 	if _, err := loadSweep("sweep run", []string{"-parallel", "4", path}, fs); err != nil || *par != 4 {
 		t.Errorf("flag-first parse: err=%v parallel=%d", err, *par)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a temp file and
+// returns what it printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	runErr := fn()
+	os.Stdout = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// wantReports is what exp prints for ids at seed: each report followed
+// by a blank line.
+func wantReports(t *testing.T, seed int64, ids ...string) string {
+	t.Helper()
+	var b strings.Builder
+	for _, id := range ids {
+		rep, err := ichannels.RunExperiment(id, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&b, rep)
+	}
+	return b.String()
+}
+
+// TestExpArgs: exp takes flags before or after any number of IDs (or
+// all, for every experiment in registry order), and rejects unknown,
+// repeated, or all-mixed selections before printing anything.
+func TestExpArgs(t *testing.T) {
+	var all []string
+	for _, e := range ichannels.Experiments() {
+		all = append(all, e.ID)
+	}
+	for _, tc := range []struct {
+		args []string
+		want []string // IDs printed at seed 3, in order
+	}{
+		{[]string{"fig13", "-seed", "3", "fig6a"}, []string{"fig13", "fig6a"}},
+		{[]string{"-seed", "3", "fig13"}, []string{"fig13"}},
+		{[]string{"fig6b", "fig13", "-seed", "3"}, []string{"fig6b", "fig13"}},
+		{[]string{"all", "-seed", "3"}, all},
+	} {
+		out, err := captureStdout(t, func() error { return runExp(tc.args) })
+		if err != nil {
+			t.Errorf("exp %v: %v", tc.args, err)
+			continue
+		}
+		if out != wantReports(t, 3, tc.want...) {
+			t.Errorf("exp %v: printed something other than %v at seed 3", tc.args, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		err  string
+	}{
+		{[]string{"fig13", "extra"}, `unknown experiment "extra"`},
+		{[]string{"fig13", "-seed", "3", "nope"}, `unknown experiment "nope"`},
+		{[]string{"fig13", "fig13"}, `"fig13" given more than once`},
+		{[]string{"all", "fig13"}, "either all or experiment ids"},
+		{[]string{"fig13", "all"}, "either all or experiment ids"},
+		{[]string{"-seed", "3"}, "missing experiment id"},
+		{nil, "missing experiment id"},
+	} {
+		out, err := captureStdout(t, func() error { return runExp(tc.args) })
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("exp %v: error %v, want one containing %q", tc.args, err, tc.err)
+		}
+		if out != "" {
+			t.Errorf("exp %v: printed %d bytes before rejecting the arguments", tc.args, len(out))
+		}
 	}
 }

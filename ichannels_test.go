@@ -75,9 +75,15 @@ func TestExperimentRegistryExposed(t *testing.T) {
 	}
 }
 
+// TestExperimentEngineExposed: a facade batch of experiment-role
+// scenarios returns its reports in request order, each under the seed
+// the batch derived for it.
 func TestExperimentEngineExposed(t *testing.T) {
-	batch, err := ichannels.RunExperiments(context.Background(), ichannels.BatchOptions{
-		IDs: []string{"fig13", "fig11"}, BaseSeed: 1, Parallel: 2,
+	batch, err := ichannels.RunScenarios(context.Background(), ichannels.ScenarioBatchOptions{
+		Scenarios: []ichannels.Scenario{
+			ichannels.ScenarioFromExperiment("fig13"), ichannels.ScenarioFromExperiment("fig11"),
+		},
+		BaseSeed: 1, Parallel: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,24 +91,31 @@ func TestExperimentEngineExposed(t *testing.T) {
 	if len(batch.Results) != 2 || len(batch.Failed()) != 0 {
 		t.Fatalf("batch: %d results, %d failed", len(batch.Results), len(batch.Failed()))
 	}
-	if batch.Results[0].ID != "fig13" || batch.Results[1].ID != "fig11" {
-		t.Fatal("batch results not in request order")
-	}
-	if batch.Results[0].Seed != ichannels.DeriveSeed(1, "fig13") {
-		t.Fatal("batch did not use the derived seed")
+	for i, id := range []string{"fig13", "fig11"} {
+		r := batch.Results[i]
+		if r.Result.Report == nil || r.Result.Report.ID != id {
+			t.Fatalf("result %d: want report %s, got %+v", i, id, r.Result.Report)
+		}
+		want, err := ichannels.RunExperiment(id, r.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Result.Report.String() != want.String() {
+			t.Errorf("%s: batch report differs from RunExperiment at its derived seed %d", id, r.Seed)
+		}
 	}
 }
 
 func TestExperimentServerExposed(t *testing.T) {
 	ts := httptest.NewServer(ichannels.NewExperimentServer())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/experiments")
+	resp, err := ts.Client().Get(ts.URL + "/v1/experiments")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("GET /experiments: %d", resp.StatusCode)
+		t.Fatalf("GET /v1/experiments: %d", resp.StatusCode)
 	}
 	var list []ichannels.ExperimentInfo
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {

@@ -1,86 +1,36 @@
 // Package engine orchestrates batch execution on a bounded worker pool,
 // with per-item derived seeds, wall-clock timing capture, panic
 // isolation, and context cancellation. It is the seam batch execution
-// (cmd/ichannels run / scenario run) and HTTP serving (internal/serve)
-// build on.
+// (cmd/ichannels scenario run / sweep run) and HTTP serving
+// (internal/serve) build on.
 //
-// A batch is a list of scenarios (RunScenarios) — the general form — or,
-// for the legacy experiment-ID path, a list of registered experiment IDs
-// (Run). The registered figure experiments are themselves expressible as
-// scenarios (scenario.FromExperiment), so the scenario path subsumes the
-// experiment one.
+// A batch is a list of scenarios: RunScenarios collects every outcome,
+// StreamScenarios emits them in order as they complete. The registered
+// figure experiments are experiment-role scenarios
+// (scenario.FromExperiment), so a batch of paper figures runs through
+// the same path as every other batch.
 //
-// Determinism contract: the report/result content of a batch is a pure
-// function of (BaseSeed, items). The degree of parallelism affects only
-// wall-clock time — for a fixed base seed, a run with Parallel=N
-// produces results byte-identical (both text and JSON renderings) to a
-// serial run, because every item receives the same derived seed
-// (DeriveSeed / DeriveScenarioSeed) and the simulator itself is
+// Determinism contract: the result content of a batch is a pure
+// function of (BaseSeed, scenarios). The degree of parallelism affects
+// only wall-clock time — for a fixed base seed, a run with Parallel=N
+// produces results byte-identical (text, JSON and NDJSON renderings) to
+// a serial run, because every scenario receives the same seed (its
+// pinned one, or DeriveScenarioSeed) and the simulator itself is
 // deterministic for a fixed seed. Timing is captured outside the results
 // so it never perturbs their bytes.
 package engine
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"io"
-	"time"
-
-	"ichannels/internal/exp"
 )
 
-// RunFunc executes one experiment by ID with an explicit seed. The
-// default is exp.Run; tests inject fakes to exercise the pool itself.
-type RunFunc func(id string, seed int64) (*exp.Report, error)
-
-// Options configures a batch run.
-type Options struct {
-	// IDs selects the experiments to run, in the given order. Empty
-	// means every registered experiment in definition order.
-	IDs []string
-	// BaseSeed is the batch's master seed. Each experiment runs with
-	// DeriveSeed(BaseSeed, id), so experiments are decorrelated from
-	// each other but the whole batch replays identically.
-	BaseSeed int64
-	// Parallel is the worker-pool size. Values below 1 mean serial.
-	Parallel int
-	// Run overrides the experiment executor (nil means exp.Run). When
-	// set, IDs are not validated against the registry.
-	Run RunFunc
-}
-
-// Result is the outcome of one experiment in a batch.
-type Result struct {
-	ID      string
-	Section string
-	Desc    string
-	// Seed is the derived per-experiment seed the runner received.
-	Seed    int64
-	Report  *exp.Report
-	Err     error
-	Elapsed time.Duration
-}
-
-// Batch is the outcome of one engine run. Results are in request order
-// regardless of completion order.
-type Batch struct {
-	BaseSeed int64
-	Parallel int
-	Results  []Result
-	// Elapsed is the batch wall-clock time (nondeterministic; kept out
-	// of the per-report bytes).
-	Elapsed time.Duration
-}
-
-// DeriveSeed maps a batch base seed and an experiment ID to that
-// experiment's seed. The derivation (FNV-1a over the ID, mixed with the
-// base through a splitmix64 finalizer) is stable across runs, platforms,
-// and worker counts — it is part of the determinism contract, so
-// changing it moves every batch-mode report and invalidates recorded
-// baselines. (The serve cache is unaffected: it keys on the raw
-// client-supplied seed and never derives.)
+// DeriveSeed maps a batch base seed and a string identity to a seed.
+// The derivation (FNV-1a over the identity, mixed with the base through
+// a splitmix64 finalizer) is stable across runs, platforms, and worker
+// counts — it is part of the determinism contract (DeriveScenarioSeed
+// builds on it), so changing it moves every derived-seed result and
+// invalidates recorded baselines.
 func DeriveSeed(base int64, id string) int64 {
 	h := fnv.New64a()
 	io.WriteString(h, id)
@@ -91,55 +41,6 @@ func DeriveSeed(base int64, id string) int64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return int64(x)
-}
-
-// Run executes the selected experiments on a worker pool and returns the
-// collected results. It returns an error only for unrunnable requests
-// (unknown experiment IDs); individual experiment failures are recorded
-// in their Result and do not stop the batch. Cancelling the context
-// abandons experiments that have not started (their Err becomes the
-// context's error); experiments already running complete normally.
-func Run(ctx context.Context, opts Options) (*Batch, error) {
-	runFn := opts.Run
-	ids := opts.IDs
-	if len(ids) == 0 {
-		ids = exp.IDs()
-	}
-	if runFn == nil {
-		runFn = exp.Run
-		for _, id := range ids {
-			if _, ok := exp.Lookup(id); !ok {
-				return nil, fmt.Errorf("engine: unknown experiment %q (use one of %v)", id, exp.IDs())
-			}
-		}
-	}
-	b := &Batch{BaseSeed: opts.BaseSeed, Parallel: opts.Parallel, Results: make([]Result, len(ids))}
-	for i, id := range ids {
-		r := &b.Results[i]
-		r.ID = id
-		r.Seed = DeriveSeed(opts.BaseSeed, id)
-		if e, ok := exp.Lookup(id); ok {
-			r.Section, r.Desc = e.Section, e.Desc
-		}
-	}
-
-	// Record the effective pool size, not the requested one, so JSON
-	// and timing output describe what actually ran.
-	b.Parallel = poolSize(opts.Parallel, len(ids))
-
-	start := time.Now()
-	runPool(b.Parallel, len(ids), func(i int) {
-		r := &b.Results[i]
-		if err := ctx.Err(); err != nil {
-			r.Err = err
-			return
-		}
-		t0 := time.Now()
-		r.Report, r.Err = RunIsolated(runFn, r.ID, r.Seed)
-		r.Elapsed = time.Since(t0)
-	})
-	b.Elapsed = time.Since(start)
-	return b, nil
 }
 
 // poolSize clamps a requested parallelism to [1, n].
@@ -154,135 +55,4 @@ func poolSize(requested, n int) int {
 		requested = 1
 	}
 	return requested
-}
-
-// runPool executes work(0..n-1) on a pool of the given size and waits
-// for completion. The work function owns all error handling.
-func runPool(workers, n int, work func(i int)) {
-	idx := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range idx {
-				work(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-}
-
-// RunIsolated executes one experiment, converting a runner panic into an
-// error so one broken experiment cannot take down a batch or a serving
-// process. Both the worker pool and internal/serve route through it.
-func RunIsolated(run RunFunc, id string, seed int64) (rep *exp.Report, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			rep, err = nil, fmt.Errorf("engine: experiment %s panicked: %v", id, p)
-		}
-	}()
-	return run(id, seed)
-}
-
-// Failed returns the results whose runner returned an error (or was
-// cancelled), in batch order.
-func (b *Batch) Failed() []Result {
-	var out []Result
-	for _, r := range b.Results {
-		if r.Err != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// resultJSON is the wire form of a Result. Timing and error live outside
-// the report object so the report bytes stay deterministic.
-type resultJSON struct {
-	ID        string      `json:"id"`
-	Section   string      `json:"section,omitempty"`
-	Desc      string      `json:"desc,omitempty"`
-	Seed      int64       `json:"seed"`
-	ElapsedUS float64     `json:"elapsed_us"`
-	Error     string      `json:"error,omitempty"`
-	Report    *exp.Report `json:"report,omitempty"`
-}
-
-type batchJSON struct {
-	BaseSeed  int64        `json:"base_seed"`
-	Parallel  int          `json:"parallel"`
-	ElapsedUS float64      `json:"elapsed_us"`
-	Failed    int          `json:"failed"`
-	Results   []resultJSON `json:"results"`
-}
-
-// WriteJSON writes the machine-readable batch encoding. The "report"
-// sub-objects are byte-identical across serial and parallel runs of the
-// same base seed; the surrounding timing fields are wall-clock and vary.
-func (b *Batch) WriteJSON(w io.Writer) error {
-	out := batchJSON{
-		BaseSeed:  b.BaseSeed,
-		Parallel:  b.Parallel,
-		ElapsedUS: float64(b.Elapsed) / float64(time.Microsecond),
-		Failed:    len(b.Failed()),
-		Results:   make([]resultJSON, len(b.Results)),
-	}
-	for i, r := range b.Results {
-		rj := resultJSON{
-			ID: r.ID, Section: r.Section, Desc: r.Desc, Seed: r.Seed,
-			ElapsedUS: float64(r.Elapsed) / float64(time.Microsecond),
-			Report:    r.Report,
-		}
-		if r.Err != nil {
-			rj.Error = r.Err.Error()
-		}
-		out.Results[i] = rj
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// WriteText writes every successful report's plain-text rendering. The
-// output depends only on (BaseSeed, IDs) — timing goes to WriteTiming so
-// this stream can be diffed across runs.
-func (b *Batch) WriteText(w io.Writer) error {
-	printed := false
-	for _, r := range b.Results {
-		if r.Err != nil {
-			continue
-		}
-		if printed {
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprint(w, r.Report.String()); err != nil {
-			return err
-		}
-		printed = true
-	}
-	return nil
-}
-
-// WriteTiming writes a per-experiment wall-clock summary (intended for
-// stderr, keeping stdout deterministic).
-func (b *Batch) WriteTiming(w io.Writer) {
-	for _, r := range b.Results {
-		status := "ok"
-		if r.Err != nil {
-			status = "FAIL: " + r.Err.Error()
-		}
-		fmt.Fprintf(w, "%-10s %10.2fms  seed %-20d %s\n",
-			r.ID, float64(r.Elapsed)/float64(time.Millisecond), r.Seed, status)
-	}
-	fmt.Fprintf(w, "%d experiments, %d failed, parallel %d, %.2fms total\n",
-		len(b.Results), len(b.Failed()), b.Parallel,
-		float64(b.Elapsed)/float64(time.Millisecond))
 }

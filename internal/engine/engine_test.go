@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ichannels/internal/exp"
+	"ichannels/internal/scenario"
 )
 
 // TestParallelMatchesSerial is the engine's core guarantee: for a fixed
@@ -18,11 +19,11 @@ import (
 // reports byte-identical to the serial batch, in both renderings.
 func TestParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
-	serial, err := Run(ctx, Options{BaseSeed: 1, Parallel: 1})
+	serial, err := RunScenarios(ctx, ScenarioOptions{Scenarios: scenario.AllExperiments(), BaseSeed: 1, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(ctx, Options{BaseSeed: 1, Parallel: 8})
+	par, err := RunScenarios(ctx, ScenarioOptions{Scenarios: scenario.AllExperiments(), BaseSeed: 1, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,25 +33,27 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	for i := range serial.Results {
 		s, p := serial.Results[i], par.Results[i]
-		if s.ID != p.ID || s.Seed != p.Seed {
-			t.Fatalf("result %d ordering diverged: %s/%d vs %s/%d", i, s.ID, s.Seed, p.ID, p.Seed)
+		id := exp.IDs()[i]
+		if s.Scenario.Experiment != id || p.Scenario.Experiment != id || s.Seed != p.Seed {
+			t.Fatalf("result %d ordering diverged: %s/%d vs %s/%d",
+				i, s.Scenario.Experiment, s.Seed, p.Scenario.Experiment, p.Seed)
 		}
 		if s.Err != nil || p.Err != nil {
-			t.Fatalf("%s failed: serial %v, parallel %v", s.ID, s.Err, p.Err)
+			t.Fatalf("%s failed: serial %v, parallel %v", id, s.Err, p.Err)
 		}
-		if s.Report.String() != p.Report.String() {
-			t.Errorf("%s: text reports differ between serial and parallel", s.ID)
+		if s.Result.Report.String() != p.Result.Report.String() {
+			t.Errorf("%s: text reports differ between serial and parallel", id)
 		}
-		sj, err := json.Marshal(s.Report)
+		sj, err := json.Marshal(s.Result.Report)
 		if err != nil {
-			t.Fatalf("%s: marshal serial: %v", s.ID, err)
+			t.Fatalf("%s: marshal serial: %v", id, err)
 		}
-		pj, err := json.Marshal(p.Report)
+		pj, err := json.Marshal(p.Result.Report)
 		if err != nil {
-			t.Fatalf("%s: marshal parallel: %v", s.ID, err)
+			t.Fatalf("%s: marshal parallel: %v", id, err)
 		}
 		if !bytes.Equal(sj, pj) {
-			t.Errorf("%s: JSON reports differ between serial and parallel", s.ID)
+			t.Errorf("%s: JSON reports differ between serial and parallel", id)
 		}
 	}
 	// The full deterministic text stream must match byte for byte too.
@@ -66,10 +69,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// fakeRun returns a RunFunc that sleeps for d and records the peak
-// number of concurrently running invocations.
-func fakeRun(d time.Duration, cur, peak *int64) RunFunc {
-	return func(id string, seed int64) (*exp.Report, error) {
+// fakeRun returns a ScenarioRunFunc that sleeps for d and records the
+// peak number of concurrently running invocations.
+func fakeRun(d time.Duration, cur, peak *int64) ScenarioRunFunc {
+	return func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
 		n := atomic.AddInt64(cur, 1)
 		for {
 			old := atomic.LoadInt64(peak)
@@ -79,9 +82,7 @@ func fakeRun(d time.Duration, cur, peak *int64) RunFunc {
 		}
 		time.Sleep(d)
 		atomic.AddInt64(cur, -1)
-		rep := exp.NewReport(id, "fake")
-		rep.Metric("seed", float64(seed))
-		return rep, nil
+		return &scenario.Result{Role: s.Role, Hash: s.Hash(), Seed: seed}, nil
 	}
 }
 
@@ -89,9 +90,16 @@ func fakeRun(d time.Duration, cur, peak *int64) RunFunc {
 // 60 ms jobs on four workers must beat the serial run by a wide margin
 // and must have run concurrently.
 func TestParallelIsFaster(t *testing.T) {
-	ids := []string{"a", "b", "c", "d"}
+	specs := []scenario.Scenario{
+		{Role: scenario.RoleChannel, Bits: 8},
+		{Role: scenario.RoleChannel, Bits: 10},
+		{Role: scenario.RoleChannel, Bits: 12},
+		{Role: scenario.RoleChannel, Bits: 14},
+	}
 	var cur, peak int64
-	serial, err := Run(context.Background(), Options{IDs: ids, Parallel: 1, Run: fakeRun(60*time.Millisecond, &cur, &peak)})
+	serial, err := RunScenarios(context.Background(), ScenarioOptions{
+		Scenarios: specs, Parallel: 1, Run: fakeRun(60*time.Millisecond, &cur, &peak),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +107,9 @@ func TestParallelIsFaster(t *testing.T) {
 		t.Fatalf("serial run overlapped: peak concurrency %d", peak)
 	}
 	peak = 0
-	par, err := Run(context.Background(), Options{IDs: ids, Parallel: 4, Run: fakeRun(60*time.Millisecond, &cur, &peak)})
+	par, err := RunScenarios(context.Background(), ScenarioOptions{
+		Scenarios: specs, Parallel: 4, Run: fakeRun(60*time.Millisecond, &cur, &peak),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +121,20 @@ func TestParallelIsFaster(t *testing.T) {
 	}
 }
 
-// TestCancellation: cancelling the context abandons queued experiments
+// TestCancellation: cancelling the context abandons queued scenarios
 // with the context's error while letting running ones finish.
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	run := func(id string, seed int64) (*exp.Report, error) {
+	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
 		once.Do(cancel) // first job cancels the rest
-		return exp.NewReport(id, "t"), nil
+		return &scenario.Result{Role: s.Role, Seed: seed}, nil
 	}
-	ids := []string{"a", "b", "c", "d", "e", "f"}
-	b, err := Run(ctx, Options{IDs: ids, Parallel: 1, Run: run})
+	var specs []scenario.Scenario
+	for bits := 8; bits < 20; bits += 2 {
+		specs = append(specs, scenario.Scenario{Role: scenario.RoleChannel, Bits: bits})
+	}
+	b, err := RunScenarios(ctx, ScenarioOptions{Scenarios: specs, Parallel: 1, Run: run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,24 +147,29 @@ func TestCancellation(t *testing.T) {
 			cancelled++
 		}
 	}
-	if cancelled != len(ids)-1 {
-		t.Errorf("%d of %d queued jobs cancelled", cancelled, len(ids)-1)
+	if cancelled != len(specs)-1 {
+		t.Errorf("%d of %d queued jobs cancelled", cancelled, len(specs)-1)
 	}
 	if len(b.Failed()) != cancelled {
 		t.Errorf("Failed() = %d, want %d", len(b.Failed()), cancelled)
 	}
 }
 
-// TestPanicIsolation: a panicking runner becomes an error on its result,
-// not a crashed batch.
+// TestPanicIsolation: a panicking runner becomes an error on its
+// experiment's outcome, not a crashed batch.
 func TestPanicIsolation(t *testing.T) {
-	run := func(id string, seed int64) (*exp.Report, error) {
-		if id == "boom" {
+	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		if s.Experiment == "fig6b" {
 			panic("kaboom")
 		}
-		return exp.NewReport(id, "t"), nil
+		return &scenario.Result{Role: s.Role, Experiment: s.Experiment, Report: exp.NewReport(s.Experiment, "t")}, nil
 	}
-	b, err := Run(context.Background(), Options{IDs: []string{"ok", "boom", "ok2"}, Parallel: 2, Run: run})
+	b, err := RunScenarios(context.Background(), ScenarioOptions{
+		Scenarios: []scenario.Scenario{
+			scenario.FromExperiment("fig6a"), scenario.FromExperiment("fig6b"), scenario.FromExperiment("fig13"),
+		},
+		Parallel: 2, Run: run,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +181,22 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestUnknownIDRejectedUpfront: an experiment-role scenario naming an
+// unregistered experiment fails the whole batch before anything runs.
 func TestUnknownIDRejectedUpfront(t *testing.T) {
-	if _, err := Run(context.Background(), Options{IDs: []string{"nope"}}); err == nil {
-		t.Error("unknown experiment accepted")
+	var ran int64
+	_, err := RunScenarios(context.Background(), ScenarioOptions{
+		Scenarios: []scenario.Scenario{scenario.FromExperiment("fig13"), scenario.FromExperiment("nope")},
+		Run: func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+			atomic.AddInt64(&ran, 1)
+			return &scenario.Result{Role: s.Role}, nil
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) {
+		t.Errorf("unknown experiment not rejected: %v", err)
+	}
+	if ran != 0 {
+		t.Errorf("%d scenarios ran before the batch was rejected", ran)
 	}
 }
 
@@ -195,16 +226,24 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
+// TestWriteTextSkipsFailures: a failed experiment-role scenario gets an
+// ERROR row in the comparison table and no report rendering, while the
+// reports of the successful ones still follow the table.
 func TestWriteTextSkipsFailures(t *testing.T) {
-	run := func(id string, seed int64) (*exp.Report, error) {
-		if id == "bad" {
+	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		if s.Experiment == "fig6a" {
 			return nil, context.DeadlineExceeded
 		}
-		rep := exp.NewReport(id, "t")
+		rep := exp.NewReport(s.Experiment, "t")
 		rep.Table("x", "h").AddRow("v")
-		return rep, nil
+		return &scenario.Result{Role: s.Role, Experiment: s.Experiment, Seed: seed, Report: rep}, nil
 	}
-	b, err := Run(context.Background(), Options{IDs: []string{"bad", "ok1", "ok2"}, Parallel: 1, Run: run})
+	b, err := RunScenarios(context.Background(), ScenarioOptions{
+		Scenarios: []scenario.Scenario{
+			scenario.FromExperiment("fig6a"), scenario.FromExperiment("fig6b"), scenario.FromExperiment("fig13"),
+		},
+		Parallel: 1, Run: run,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,16 +252,23 @@ func TestWriteTextSkipsFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if strings.HasPrefix(out, "\n") {
-		t.Error("WriteText starts with a blank line when the first result failed")
+	if !strings.Contains(out, "ERROR: "+context.DeadlineExceeded.Error()) {
+		t.Error("failed scenario has no ERROR row")
 	}
-	if !strings.Contains(out, "ok1") || !strings.Contains(out, "ok2") {
+	if strings.Contains(out, "=== fig6a") {
+		t.Error("failed scenario rendered a report")
+	}
+	if !strings.Contains(out, "=== fig6b") || !strings.Contains(out, "=== fig13") {
 		t.Error("successful reports missing from text stream")
 	}
 }
 
+// TestBatchJSONShape: an experiment-role scenario's report rides in the
+// batch JSON under result.report, with the derived seed alongside.
 func TestBatchJSONShape(t *testing.T) {
-	b, err := Run(context.Background(), Options{IDs: []string{"fig13"}, BaseSeed: 1, Parallel: 1})
+	b, err := RunScenarios(context.Background(), ScenarioOptions{
+		Scenarios: []scenario.Scenario{scenario.FromExperiment("fig13")}, BaseSeed: 1, Parallel: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +280,14 @@ func TestBatchJSONShape(t *testing.T) {
 		BaseSeed int64 `json:"base_seed"`
 		Failed   int   `json:"failed"`
 		Results  []struct {
-			ID     string `json:"id"`
-			Seed   int64  `json:"seed"`
-			Report *struct {
-				ID      string             `json:"id"`
-				Metrics map[string]float64 `json:"metrics"`
-			} `json:"report"`
+			Seed   int64 `json:"seed"`
+			Result *struct {
+				Experiment string `json:"experiment"`
+				Report     *struct {
+					ID      string             `json:"id"`
+					Metrics map[string]float64 `json:"metrics"`
+				} `json:"report"`
+			} `json:"result"`
 		} `json:"results"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
@@ -249,13 +297,13 @@ func TestBatchJSONShape(t *testing.T) {
 		t.Fatalf("unexpected batch shape: %+v", decoded)
 	}
 	r := decoded.Results[0]
-	if r.ID != "fig13" || r.Report == nil || r.Report.ID != "fig13" {
+	if r.Result == nil || r.Result.Experiment != "fig13" || r.Result.Report == nil || r.Result.Report.ID != "fig13" {
 		t.Fatalf("report missing from JSON: %+v", r)
 	}
-	if r.Seed != DeriveSeed(1, "fig13") {
+	if r.Seed != DeriveScenarioSeed(1, scenario.FromExperiment("fig13")) {
 		t.Errorf("JSON seed %d is not the derived seed", r.Seed)
 	}
-	if len(r.Report.Metrics) == 0 {
+	if len(r.Result.Report.Metrics) == 0 {
 		t.Error("metrics missing from JSON report")
 	}
 }

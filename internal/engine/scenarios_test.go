@@ -45,8 +45,8 @@ func stripTiming(t *testing.T, raw []byte) string {
 }
 
 // TestScenarioSerialMatchesParallel: for a fixed base seed the result
-// content is byte-identical across parallelism degrees — the same
-// contract the experiment batch has.
+// content of a mixed-role batch is byte-identical across parallelism
+// degrees, in both renderings.
 func TestScenarioSerialMatchesParallel(t *testing.T) {
 	var blobs []string
 	for _, par := range []int{1, 4} {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,10 +52,12 @@ func post(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// TestListExperiments: GET /v1/experiments lists every registered
+// experiment with a complete entry.
 func TestListExperiments(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}).Handler())
 	defer ts.Close()
-	code, body := get(t, ts, "/experiments")
+	code, body := get(t, ts, "/v1/experiments")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -72,35 +75,47 @@ func TestListExperiments(t *testing.T) {
 	}
 }
 
+// runExperiment posts one experiment-role scenario with a pinned seed
+// to /v1/scenarios — the one HTTP route for a paper figure.
+func runExperiment(t *testing.T, ts *httptest.Server, id string, seed int64) (int, []byte) {
+	t.Helper()
+	return postJSON(t, ts, "/v1/scenarios", "application/json",
+		fmt.Sprintf(`{"role":"experiment","experiment":%q,"seed":%d}`, id, seed))
+}
+
+// decodeScenario unmarshals a single-scenario response.
+func decodeScenario(t *testing.T, body []byte) scenarioResponse {
+	t.Helper()
+	var resp scenarioResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("response not JSON: %v: %s", err, body)
+	}
+	return resp
+}
+
 func TestRunAndCacheHit(t *testing.T) {
 	var calls int64
 	srv := New(Options{Run: countingRun(&calls, false)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, body := post(t, ts, "/run/fig6a?seed=7")
+	code, body := runExperiment(t, ts, "fig6a", 7)
 	if code != http.StatusOK {
 		t.Fatalf("first run: status %d: %s", code, body)
 	}
-	var first runResponse
-	if err := json.Unmarshal(body, &first); err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached || first.ID != "fig6a" || first.Seed != 7 {
+	first := decodeScenario(t, body)
+	if first.Cached || first.Result.Experiment != "fig6a" || first.Seed != 7 {
 		t.Fatalf("first response: %+v", first)
 	}
-	if first.Report == nil || first.Report.Metrics["seed"] != 7 {
-		t.Fatalf("report missing or wrong seed: %+v", first.Report)
+	if first.Result.Report == nil || first.Result.Report.Metrics["seed"] != 7 {
+		t.Fatalf("report missing or wrong seed: %+v", first.Result.Report)
 	}
 
-	code, body2 := post(t, ts, "/run/fig6a?seed=7")
+	code, body2 := runExperiment(t, ts, "fig6a", 7)
 	if code != http.StatusOK {
 		t.Fatalf("second run: status %d", code)
 	}
-	var second runResponse
-	if err := json.Unmarshal(body2, &second); err != nil {
-		t.Fatal(err)
-	}
+	second := decodeScenario(t, body2)
 	if !second.Cached {
 		t.Error("second identical request not served from cache")
 	}
@@ -108,14 +123,14 @@ func TestRunAndCacheHit(t *testing.T) {
 		t.Errorf("runner executed %d times, want 1", calls)
 	}
 	// The deterministic payload must be byte-identical across the two.
-	a, _ := json.Marshal(first.Report)
-	b, _ := json.Marshal(second.Report)
+	a, _ := json.Marshal(first.Result)
+	b, _ := json.Marshal(second.Result)
 	if string(a) != string(b) {
-		t.Error("cached report differs from the computed one")
+		t.Error("cached result differs from the computed one")
 	}
 
 	// A different seed is a different key.
-	if code, _ := post(t, ts, "/run/fig6a?seed=8"); code != http.StatusOK {
+	if code, _ := runExperiment(t, ts, "fig6a", 8); code != http.StatusOK {
 		t.Fatalf("seed 8: status %d", code)
 	}
 	if calls != 2 {
@@ -139,7 +154,8 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := ts.Client().Post(ts.URL+"/run/fig13?seed=3", "", nil)
+			resp, err := ts.Client().Post(ts.URL+"/v1/scenarios", "application/json",
+				strings.NewReader(`{"role":"experiment","experiment":"fig13","seed":3}`))
 			if err == nil {
 				codes[i] = resp.StatusCode
 				io.Copy(io.Discard, resp.Body)
@@ -177,11 +193,12 @@ func TestMaxConcurrentBoundsDistinctSeeds(t *testing.T) {
 	defer ts.Close()
 
 	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
+	for i := 1; i <= 10; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := ts.Client().Post(fmt.Sprintf("%s/run/fig6a?seed=%d", ts.URL, i), "", nil)
+			resp, err := ts.Client().Post(ts.URL+"/v1/scenarios", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"role":"experiment","experiment":"fig6a","seed":%d}`, i)))
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
@@ -203,16 +220,16 @@ func TestCacheEviction(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	post(t, ts, "/run/fig6a?seed=1") // cache: {1}
-	post(t, ts, "/run/fig6a?seed=2") // cache: {1, 2}
-	post(t, ts, "/run/fig6a?seed=3") // evicts 1 → {2, 3}
+	runExperiment(t, ts, "fig6a", 1) // cache: {1}
+	runExperiment(t, ts, "fig6a", 2) // cache: {1, 2}
+	runExperiment(t, ts, "fig6a", 3) // evicts 1 → {2, 3}
 	if calls != 3 {
 		t.Fatalf("3 distinct seeds ran %d times", calls)
 	}
-	if _, body := post(t, ts, "/run/fig6a?seed=3"); calls != 3 {
+	if _, body := runExperiment(t, ts, "fig6a", 3); calls != 3 {
 		t.Errorf("seed 3 should be cached: %s", body)
 	}
-	post(t, ts, "/run/fig6a?seed=1") // evicted → recompute
+	runExperiment(t, ts, "fig6a", 1) // evicted → recompute
 	if calls != 4 {
 		t.Errorf("evicted seed 1 not recomputed (calls=%d)", calls)
 	}
@@ -222,8 +239,8 @@ func TestCacheEviction(t *testing.T) {
 	srv2 := New(Options{Run: countingRun(&calls2, false), MaxCacheEntries: -1})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	post(t, ts2, "/run/fig6a?seed=1")
-	post(t, ts2, "/run/fig6a?seed=1")
+	runExperiment(t, ts2, "fig6a", 1)
+	runExperiment(t, ts2, "fig6a", 1)
 	if calls2 != 2 {
 		t.Errorf("caching disabled but runner ran %d times for 2 requests", calls2)
 	}
@@ -235,13 +252,15 @@ func TestErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts, "/run/doesnotexist"); code != http.StatusNotFound {
-		t.Errorf("unknown experiment: status %d, want 404", code)
+	code, body := runExperiment(t, ts, "doesnotexist", 1)
+	if code != http.StatusBadRequest || decodeErr(t, body).Code != CodeInvalidScenario {
+		t.Errorf("unknown experiment: status %d body %s, want 400 %s", code, body, CodeInvalidScenario)
 	}
-	if code, _ := post(t, ts, "/run/fig6a?seed=banana"); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, ts, "/v1/scenarios?seed=banana", "application/json",
+		`{"role":"experiment","experiment":"fig6a"}`); code != http.StatusBadRequest {
 		t.Errorf("bad seed: status %d, want 400", code)
 	}
-	code, body := post(t, ts, "/run/fig6a?seed=1")
+	code, body = runExperiment(t, ts, "fig6a", 1)
 	if code != http.StatusInternalServerError {
 		t.Errorf("failing runner: status %d, want 500", code)
 	}
@@ -250,30 +269,47 @@ func TestErrorPaths(t *testing.T) {
 		t.Errorf("error body not JSON: %s", body)
 	}
 	// Failures are cached too: a retry must not rerun the experiment.
-	if code, _ := post(t, ts, "/run/fig6a?seed=1"); code != http.StatusInternalServerError {
+	if code, _ := runExperiment(t, ts, "fig6a", 1); code != http.StatusInternalServerError {
 		t.Error("cached failure lost")
 	}
 	if calls != 1 {
 		t.Errorf("failing experiment ran %d times, want 1 (errors are cached)", calls)
 	}
 	// Wrong method on a valid route.
-	if code, _ := get(t, ts, "/run/fig6a"); code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /run: status %d, want 405", code)
+	if code, _ := get(t, ts, "/v1/scenarios"); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/scenarios: status %d, want 405", code)
 	}
 }
 
+// TestPanickingRunnerIsIsolated: a runner that panics inside a batch
+// becomes that line's error, the stream still completes, and the
+// server keeps answering.
 func TestPanickingRunnerIsIsolated(t *testing.T) {
 	srv := New(Options{Run: func(id string, seed int64) (*exp.Report, error) {
 		panic("boom")
 	}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	code, body := post(t, ts, "/run/fig6a")
-	if code != http.StatusInternalServerError {
+	code, body := postJSON(t, ts, "/v1/scenarios", "application/json",
+		`[{"role":"experiment","experiment":"fig6a","seed":1},{"role":"experiment","experiment":"fig6b","seed":1}]`)
+	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%d NDJSON lines, want 2: %s", len(lines), body)
+	}
+	for i, raw := range lines {
+		var l scenarioLine
+		if err := json.Unmarshal([]byte(raw), &l); err != nil {
+			t.Fatal(err)
+		}
+		if l.Index != i || l.Error == nil || !strings.Contains(l.Error.Message, "panicked") {
+			t.Errorf("line %d: panic not converted to an error line: %s", i, raw)
+		}
+	}
 	// The server must still answer subsequent requests.
-	if code, _ := get(t, ts, "/experiments"); code != http.StatusOK {
+	if code, _ := get(t, ts, "/v1/experiments"); code != http.StatusOK {
 		t.Error("server unusable after a panicking runner")
 	}
 }
@@ -283,20 +319,17 @@ func TestPanickingRunnerIsIsolated(t *testing.T) {
 func TestRealExperimentRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}).Handler())
 	defer ts.Close()
-	code, body := post(t, ts, fmt.Sprintf("/run/fig13?seed=%d", 42))
+	code, body := runExperiment(t, ts, "fig13", 42)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var resp runResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := decodeScenario(t, body)
 	direct, err := exp.Run("fig13", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := json.Marshal(direct)
-	got, _ := json.Marshal(resp.Report)
+	got, _ := json.Marshal(resp.Result.Report)
 	if string(want) != string(got) {
 		t.Error("served report differs from a direct exp.Run with the same seed")
 	}
