@@ -25,15 +25,18 @@
 // Results are cached in memory keyed by (scenario hash, seed). Because the
 // simulator is deterministic for a fixed seed (see docs/ARCHITECTURE.md)
 // a cached result is bit-for-bit the result a fresh run would produce,
-// so repeated requests are served without recomputation. Concurrent
-// requests for the same key are coalesced: only the first computes, the
-// rest wait for its result — including across items of one batch and
-// across unrelated clients. Runner errors are cached too — they are
-// equally deterministic — so a failing (scenario, seed) pair does not
-// burn CPU on every retry. The cache is bounded
-// (Options.MaxCacheEntries, LRU eviction — hits refresh recency, so a
-// sweep session's hot repeated cells outlive one-shot grid neighbours)
-// so seed sweeps cannot grow the process without limit.
+// so repeated requests are served without recomputation — and, for a
+// single-object request, without re-encoding: the entry keeps its
+// result's encoding and the response writes those bytes as stored (see
+// response.go). Concurrent requests for the same key are coalesced:
+// only the first computes, the rest wait for its result — including
+// across items of one batch and across unrelated clients. Runner
+// errors are cached too — they are equally deterministic — so a failing
+// (scenario, seed) pair does not burn CPU on every retry. The cache is
+// bounded (Options.MaxCacheEntries, LRU eviction — hits refresh
+// recency, so a sweep session's hot repeated cells outlive one-shot
+// grid neighbours) so seed sweeps cannot grow the process without
+// limit.
 //
 // With Options.Store set the cache becomes two-tier: a memory miss
 // consults the durable result store (internal/store) before computing,
@@ -42,6 +45,7 @@
 package serve
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -152,7 +156,7 @@ type Server struct {
 
 	mu          sync.Mutex
 	cache       map[cacheKey]*cacheEntry
-	order       []cacheKey // recency order, oldest first, for LRU eviction
+	lru         list.List // of *cacheEntry, recency order, oldest first
 	hits        int64
 	misses      int64
 	storeHits   int64
@@ -188,6 +192,17 @@ type cacheEntry struct {
 	// fromStore marks a result fetched from the durable tier instead
 	// of computed (set before ready closes; read only after it).
 	fromStore bool
+
+	// key and elem place a published entry in the server's recency
+	// list; both are guarded by Server.mu.
+	key  cacheKey
+	elem *list.Element
+
+	// block is the result's indented encoding as a single-object
+	// response nests it (see resultBlock), built on first use.
+	blockOnce sync.Once
+	block     []byte
+	blockErr  error
 }
 
 // served reports whether the entry was already complete in memory
@@ -332,56 +347,43 @@ func (s *Server) CacheStats() (hits, misses int64) {
 // marked served-from-cache; a coalesced waiter on an in-flight entry
 // still pays the compute wall-clock.
 //
-// Eviction is LRU: a hit moves the key to the back of the recency
-// order, so long sweep sessions re-requesting a hot working set keep it
-// resident while one-shot grid cells age out from the front.
+// Eviction is LRU: a hit moves the entry to the back of the recency
+// list, so long sweep sessions re-requesting a hot working set keep it
+// resident while one-shot grid cells age out from the front. A hit and
+// an eviction are O(1) list operations and do not allocate.
 func (s *Server) entry(key cacheKey) (ent *cacheEntry, cached bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ent, hit := s.cache[key]
-	cached = hit && ent != nil && ent.done()
-	if hit {
+	if ent, hit := s.cache[key]; hit {
 		s.hits++
-		s.touchLocked(key)
-		return ent, cached
+		s.lru.MoveToBack(ent.elem)
+		return ent, ent.done()
 	}
 	s.misses++
 	ent = newCacheEntry()
 	if s.maxCache > 0 {
-		// Evict least-recently-used completed entries; in-flight ones
-		// are skipped (the cap may be exceeded transiently, bounded by
-		// MaxConcurrent plus waiters).
-		for len(s.cache) >= s.maxCache {
-			evicted := false
-			for i, k := range s.order {
-				if e := s.cache[k]; e != nil && e.done() {
-					s.order = append(s.order[:i:i], s.order[i+1:]...)
-					delete(s.cache, k)
-					evicted = true
-					break
-				}
-			}
-			if !evicted {
-				break
-			}
+		// In-flight entries are never evicted, so the cap may be exceeded
+		// transiently, bounded by MaxConcurrent plus waiters.
+		for len(s.cache) >= s.maxCache && s.evictLocked() {
 		}
+		ent.key = key
+		ent.elem = s.lru.PushBack(ent)
 		s.cache[key] = ent
-		s.order = append(s.order, key)
 	}
 	return ent, false
 }
 
-// touchLocked moves key to the back of the recency order. The linear
-// scan is bounded by MaxCacheEntries and is noise next to the
-// simulations the cache fronts.
-func (s *Server) touchLocked(key cacheKey) {
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if s.order[i] == key {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = key
-			return
+// evictLocked drops the least-recently-used completed entry and reports
+// whether there was one. It skips in-flight entries.
+func (s *Server) evictLocked() bool {
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cacheEntry); e.done() {
+			s.lru.Remove(el)
+			delete(s.cache, e.key)
+			return true
 		}
 	}
+	return false
 }
 
 // compute fills ent for key exactly once and wakes all waiters: fetch
@@ -574,19 +576,6 @@ func (s *Server) v1Schema(w http.ResponseWriter, r *http.Request) {
 	w.Write(scenario.SchemaJSON())
 }
 
-// scenarioResponse is the wire form of one scenario run. The result
-// object is the deterministic payload; name/cached/elapsed_us are
-// serving metadata (the name is the requester's label — results are
-// shared through the cache, so the label lives here, not in them).
-type scenarioResponse struct {
-	Name      string           `json:"name,omitempty"`
-	Hash      string           `json:"hash"`
-	Seed      int64            `json:"seed"`
-	Cached    bool             `json:"cached"`
-	ElapsedUS float64          `json:"elapsed_us"`
-	Result    *scenario.Result `json:"result"`
-}
-
 // scenarioLine is one NDJSON line of a batch response. Exactly one of
 // Error and Result is set.
 type scenarioLine struct {
@@ -665,11 +654,8 @@ func (s *Server) v1Scenarios(w http.ResponseWriter, r *http.Request) {
 			"%s (seed %d): %v", n.Describe(), seed, ent.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, scenarioResponse{
-		Name: n.Name, Hash: hash, Seed: seed, Cached: ent.served(cached),
-		ElapsedUS: float64(ent.elapsed) / float64(time.Microsecond),
-		Result:    ent.result,
-	})
+	writeScenario(w, n.Name, hash, seed, ent.served(cached),
+		float64(ent.elapsed)/float64(time.Microsecond), ent)
 }
 
 // runBatch executes a scenario array and streams NDJSON outcomes in

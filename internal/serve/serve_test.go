@@ -246,6 +246,78 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionSkipsInFlight: at the cap, a miss evicts the oldest
+// completed entry, never an in-flight one — the entry being computed
+// and the request coalesced onto it survive and share one run.
+func TestEvictionSkipsInFlight(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[int64]int{}
+	var startOnce sync.Once
+	started, release := make(chan struct{}), make(chan struct{})
+	run := func(id string, seed int64) (*exp.Report, error) {
+		mu.Lock()
+		calls[seed]++
+		mu.Unlock()
+		if seed == 1 {
+			startOnce.Do(func() { close(started) })
+			<-release
+		}
+		return exp.NewReport(id, "served"), nil
+	}
+	srv := New(Options{Run: run, MaxCacheEntries: 2, MaxConcurrent: -1})
+	h := srv.Handler()
+	serve := func(seed int64) (int, scenarioResponse) {
+		rec := postHandler(h, fmt.Sprintf(`{"role":"experiment","experiment":"fig6a","seed":%d}`, seed))
+		var resp scenarioResponse
+		json.Unmarshal(rec.Body.Bytes(), &resp)
+		return rec.Code, resp
+	}
+	type outcome struct {
+		code int
+		resp scenarioResponse
+	}
+	held := make(chan outcome, 2)
+	serveHeld := func() {
+		code, resp := serve(1)
+		held <- outcome{code, resp}
+	}
+
+	go serveHeld() // seed 1: in flight until release
+	<-started
+	go serveHeld() // a waiter coalesced onto it
+	for hits, _ := srv.CacheStats(); hits < 1; hits, _ = srv.CacheStats() {
+		time.Sleep(time.Millisecond)
+	}
+	if code, _ := serve(2); code != http.StatusOK { // {1 in flight, 2}
+		t.Fatalf("seed 2: status %d", code)
+	}
+	// At the cap with the in-flight seed 1 oldest: the miss must skip
+	// it and evict 2 → {1, 3}.
+	if code, _ := serve(3); code != http.StatusOK {
+		t.Fatalf("seed 3: status %d", code)
+	}
+	close(release)
+	for range 2 {
+		o := <-held
+		if o.code != http.StatusOK || o.resp.Seed != 1 || o.resp.Cached {
+			t.Errorf("held seed 1 request: status %d, %+v", o.code, o.resp)
+		}
+	}
+	for _, seed := range []int64{1, 3} {
+		if code, resp := serve(seed); code != http.StatusOK || !resp.Cached {
+			t.Errorf("seed %d was evicted: status %d, cached %v", seed, code, resp.Cached)
+		}
+	}
+	if code, resp := serve(2); code != http.StatusOK || resp.Cached {
+		t.Errorf("seed 2, the oldest completed entry, survived: status %d, cached %v", code, resp.Cached)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls[1] != 1 || calls[2] != 2 || calls[3] != 1 {
+		t.Errorf("runs per seed %v, want 1:1 2:2 3:1", calls)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	var calls int64
 	srv := New(Options{Run: countingRun(&calls, true)})
