@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	"ichannels"
@@ -225,6 +227,21 @@ func TestScenarioAPIExposed(t *testing.T) {
 
 	if len(ichannels.ScenarioSchemaJSON()) == 0 || len(ichannels.AllExperimentScenarios()) == 0 {
 		t.Error("schema or experiment generators empty")
+	}
+}
+
+// TestRunScenarioRejectsNonFinite: a spec built in Go can carry NaN or
+// ±Inf where JSON cannot; RunScenario must return a validation error
+// for it, not panic.
+func TestRunScenarioRejectsNonFinite(t *testing.T) {
+	for _, spec := range []ichannels.Scenario{
+		{Role: "channel", Bits: 16, Noise: &ichannels.ScenarioNoise{InterruptsPerSec: math.NaN()}},
+		{Role: "channel", Bits: 16, Params: &ichannels.ScenarioParams{FreqGHz: math.Inf(1)}},
+	} {
+		res, err := ichannels.RunScenario(context.Background(), spec)
+		if err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("RunScenario(%+v) = %v, %v; want a non-finite error", spec, res, err)
+		}
 	}
 }
 

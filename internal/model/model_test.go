@@ -26,6 +26,45 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestLookupMatchesByName checks the read-only topology against a
+// constructed profile for every registered name, and that both reject
+// an unknown name with the same error.
+func TestLookupMatchesByName(t *testing.T) {
+	for _, ctor := range registry {
+		for _, name := range []string{ctor().Name, ctor().CodeName} {
+			p, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (Topology{p.CodeName, p.Cores, p.SMTWays}); topo != want {
+				t.Errorf("Lookup(%q) = %+v, ByName gives %+v", name, topo, want)
+			}
+		}
+	}
+	_, err1 := Lookup("Pentium III")
+	_, err2 := ByName("Pentium III")
+	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
+		t.Errorf("unknown name: Lookup %v, ByName %v", err1, err2)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = Lookup("Skylake-SP") }); n != 0 {
+		t.Errorf("Lookup allocates %.0f objects, want 0", n)
+	}
+}
+
+// TestByNameIsPrivate checks that ByName hands out a fresh profile: a
+// caller adjusting its core weights must not change the next caller's.
+func TestByNameIsPrivate(t *testing.T) {
+	a, _ := ByName("Cannon Lake")
+	a.Guardband.CoreWeights[0] = 42
+	if b, _ := ByName("Cannon Lake"); b.Guardband.CoreWeights[0] == 42 {
+		t.Error("ByName profiles share Guardband.CoreWeights")
+	}
+}
+
 func TestPaperHardwareShapes(t *testing.T) {
 	hsw, cfl, cnl := Haswell4770K(), CoffeeLake9700K(), CannonLake8121U()
 

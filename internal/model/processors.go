@@ -267,27 +267,57 @@ func All() []Processor {
 // the server extension), in definition order.
 var registry = []func() Processor{Haswell4770K, CoffeeLake9700K, CannonLake8121U, XeonPlatinum8160}
 
-// ctorByName indexes marketing and code names to constructors once; the
-// lookup itself still calls the constructor, so every caller keeps
-// getting a fresh profile it may mutate freely (the scenario layer
-// resolves names on every cell of a sweep — rebuilding all four
-// profiles per lookup was a measurable slice of the per-cell cost).
-var ctorByName = sync.OnceValue(func() map[string]func() Processor {
-	m := make(map[string]func() Processor, 2*len(registry))
+// Topology is the read-only part of a profile that name resolution and
+// spec validation need: its code name and its core/thread counts.
+type Topology struct {
+	CodeName string
+	Cores    int
+	SMTWays  int
+}
+
+// profileEntry is one registered profile: its constructor and the
+// topology read off one constructed instance.
+type profileEntry struct {
+	ctor func() Processor
+	topo Topology
+}
+
+// profiles indexes marketing and code names once. Lookup serves the
+// topology from it without constructing anything; ByName still calls
+// the constructor, so every caller that builds a machine gets a fresh
+// profile it may mutate freely (a shared one would alias
+// Guardband.CoreWeights).
+var profiles = sync.OnceValue(func() map[string]profileEntry {
+	m := make(map[string]profileEntry, 2*len(registry))
 	for _, ctor := range registry {
 		p := ctor()
-		m[p.Name] = ctor
-		m[p.CodeName] = ctor
+		e := profileEntry{ctor, Topology{p.CodeName, p.Cores, p.SMTWays}}
+		m[p.Name] = e
+		m[p.CodeName] = e
 	}
 	return m
 })
+
+// Lookup resolves a marketing or code name, including the server
+// extension profile, to the profile's topology. It constructs no
+// profile and allocates nothing.
+func Lookup(name string) (Topology, error) {
+	if e, ok := profiles()[name]; ok {
+		return e.topo, nil
+	}
+	return Topology{}, errUnknown(name)
+}
 
 // ByName looks a processor up by marketing or code name, including the
 // server extension profile. The returned profile is freshly constructed
 // (never shared), so callers may adjust it.
 func ByName(name string) (Processor, error) {
-	if ctor, ok := ctorByName()[name]; ok {
-		return ctor(), nil
+	if e, ok := profiles()[name]; ok {
+		return e.ctor(), nil
 	}
-	return Processor{}, fmt.Errorf("model: unknown processor %q", name)
+	return Processor{}, errUnknown(name)
+}
+
+func errUnknown(name string) error {
+	return fmt.Errorf("model: unknown processor %q", name)
 }

@@ -23,12 +23,14 @@ package scenario
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"ichannels/internal/core"
 	"ichannels/internal/exp"
+	"ichannels/internal/jsonenc"
 	"ichannels/internal/mitigate"
 	"ichannels/internal/model"
 )
@@ -231,7 +233,7 @@ func (s Scenario) Normalized() Scenario {
 		if n.Processor == "" {
 			n.Processor = DefaultProcessor
 		}
-		if p, err := model.ByName(n.Processor); err == nil {
+		if p, err := model.Lookup(n.Processor); err == nil {
 			n.Processor = p.CodeName
 		}
 	}
@@ -248,12 +250,8 @@ func (s Scenario) Normalized() Scenario {
 	if n.Role == RoleMitigation && n.Mitigation == "" {
 		n.Mitigation = MitigationNone
 	}
-	if n.Coding != nil {
-		c := *n.Coding
-		if c.InterleaveDepth == 0 {
-			c.InterleaveDepth = 7
-		}
-		n.Coding = &c
+	if n.Coding != nil && n.Coding.InterleaveDepth == 0 {
+		n.Coding = &Coding{InterleaveDepth: 7}
 	}
 	// Collapse empty sub-objects so {"noise":{}} hashes like no noise.
 	if n.Noise != nil && *n.Noise == (Noise{}) {
@@ -271,18 +269,96 @@ func (s Scenario) Normalized() Scenario {
 // Hash returns a stable 16-hex-character content hash of the normalized
 // spec, excluding Name (a display label) and Seed. Together with the
 // effective seed it identifies a run's result bytes, which is what the
-// serve layer's single-flight cache keys on.
+// serve layer's single-flight cache keys on. The hashed bytes are the
+// spec's JSON encoding (see appendJSON).
 func (s Scenario) Hash() string {
 	n := s.Normalized()
 	n.Name = ""
 	n.Seed = 0
-	b, err := json.Marshal(n)
-	if err != nil {
-		// Scenario has no unmarshalable fields; keep the signature clean.
-		panic("scenario: hash marshal: " + err.Error())
+	var buf [512]byte // a spec with a full 255-byte payload still fits
+	sum := sha256.Sum256(n.appendJSON(buf[:0]))
+	var h [16]byte
+	hex.Encode(h[:], sum[:8])
+	return string(h[:])
+}
+
+// appendJSON appends s encoded byte for byte as json.Marshal encodes
+// it: fields in declaration order, omitempty fields left out at their
+// zero value, nil sub-objects left out and empty ones written as {}.
+// Hashes stored in corpora were taken over json.Marshal's bytes, so
+// this equality is a compatibility contract; the tests hold it against
+// json.Marshal as the oracle. A non-finite float, which json.Marshal
+// refuses and Validate rejects, is written as strconv spells it.
+func (s Scenario) appendJSON(b []byte) []byte {
+	b = append(b, '{')
+	b = appendStringField(b, "name", s.Name)
+	b = jsonenc.AppendString(appendKey(b, "role"), s.Role)
+	b = appendStringField(b, "processor", s.Processor)
+	b = appendStringField(b, "kind", s.Kind)
+	b = appendStringField(b, "baseline", s.Baseline)
+	b = appendStringField(b, "mitigation", s.Mitigation)
+	b = appendStringField(b, "experiment", s.Experiment)
+	if no := s.Noise; no != nil {
+		b = append(appendKey(b, "noise"), '{')
+		b = appendFloatField(b, "interrupts_per_sec", no.InterruptsPerSec)
+		b = appendFloatField(b, "ctx_switches_per_sec", no.CtxSwitchesPerSec)
+		b = appendIntField(b, "tsc_jitter_cycles", no.TSCJitterCycles)
+		b = append(b, '}')
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
+	if c := s.Coding; c != nil {
+		b = append(appendKey(b, "coding"), '{')
+		b = appendIntField(b, "interleave_depth", int64(c.InterleaveDepth))
+		b = append(b, '}')
+	}
+	b = appendIntField(b, "bits", int64(s.Bits))
+	b = appendStringField(b, "payload", s.Payload)
+	b = appendIntField(b, "seed", s.Seed)
+	if p := s.Params; p != nil {
+		b = append(appendKey(b, "params"), '{')
+		b = appendFloatField(b, "slot_period_us", p.SlotPeriodUS)
+		b = appendIntField(b, "sender_iters", p.SenderIters)
+		b = appendIntField(b, "receiver_iters", p.ReceiverIters)
+		b = appendFloatField(b, "receiver_offset_us", p.ReceiverOffsetUS)
+		b = appendFloatField(b, "freq_ghz", p.FreqGHz)
+		b = appendIntField(b, "cores", int64(p.Cores))
+		b = appendIntField(b, "calib_reps", int64(p.CalibReps))
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// appendKey appends an object member's key, after a separating comma
+// unless the member is the object's first.
+func appendKey(b []byte, key string) []byte {
+	if b[len(b)-1] != '{' {
+		b = append(b, ',')
+	}
+	b = append(b, '"')
+	b = append(b, key...)
+	return append(b, '"', ':')
+}
+
+// appendStringField, appendIntField and appendFloatField append an
+// omitempty member, or nothing at its zero value.
+func appendStringField(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return jsonenc.AppendString(appendKey(b, key), v)
+}
+
+func appendIntField(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(appendKey(b, key), v, 10)
+}
+
+func appendFloatField(b []byte, key string, v float64) []byte {
+	if v == 0 {
+		return b
+	}
+	return jsonenc.AppendFloat(appendKey(b, key), v)
 }
 
 // Describe returns a short human label for tables and timing output.
@@ -370,11 +446,11 @@ func (n Scenario) validate() error {
 		return fmt.Errorf("scenario: experiment is only valid with role experiment")
 	}
 
-	proc, err := model.ByName(n.Processor)
+	proc, err := model.Lookup(n.Processor)
 	if err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	cores := effectiveCores(n, proc)
+	cores := effectiveCores(n, proc.Cores)
 
 	switch n.Role {
 	case RoleChannel, RoleMitigation:
@@ -459,6 +535,9 @@ func (n Scenario) validate() error {
 	}
 
 	if no := n.Noise; no != nil {
+		if err := no.checkFinite(); err != nil {
+			return err
+		}
 		if no.InterruptsPerSec < 0 || no.CtxSwitchesPerSec < 0 || no.TSCJitterCycles < 0 {
 			return fmt.Errorf("scenario: noise rates and jitter must be non-negative")
 		}
@@ -467,6 +546,9 @@ func (n Scenario) validate() error {
 		return fmt.Errorf("scenario: interleave depth must be positive, got %d", c.InterleaveDepth)
 	}
 	if p := n.Params; p != nil {
+		if err := p.checkFinite(); err != nil {
+			return err
+		}
 		if p.SlotPeriodUS < 0 || p.SenderIters < 0 || p.ReceiverIters < 0 ||
 			p.ReceiverOffsetUS < 0 || p.FreqGHz < 0 || p.Cores < 0 || p.CalibReps < 0 {
 			return fmt.Errorf("scenario: params overrides must be non-negative")
@@ -496,17 +578,45 @@ func (n Scenario) validate() error {
 	return nil
 }
 
+// floatField names one float field of a spec for finiteFields.
+type floatField struct {
+	name string
+	v    float64
+}
+
+// finiteFields rejects NaN and ±Inf: JSON cannot carry them, so
+// neither can a spec (its Hash encodes it as JSON does).
+func finiteFields(fields ...floatField) error {
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s must be a finite number, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+func (no *Noise) checkFinite() error {
+	return finiteFields(
+		floatField{"noise.interrupts_per_sec", no.InterruptsPerSec},
+		floatField{"noise.ctx_switches_per_sec", no.CtxSwitchesPerSec})
+}
+
+func (p *Params) checkFinite() error {
+	return finiteFields(
+		floatField{"params.slot_period_us", p.SlotPeriodUS},
+		floatField{"params.receiver_offset_us", p.ReceiverOffsetUS},
+		floatField{"params.freq_ghz", p.FreqGHz})
+}
+
 // effectiveCores returns the core count the scenario's machine gets:
-// the override, else min(2, profile) — two cores cover every topology
-// the run paths need while keeping big parts (the 24-core Xeon) cheap.
-func effectiveCores(n Scenario, proc model.Processor) int {
+// the override, else min(2, the profile's cores) — two cores cover
+// every topology the run paths need while keeping big parts (the
+// 24-core Xeon) cheap.
+func effectiveCores(n Scenario, profileCores int) int {
 	if n.Params != nil && n.Params.Cores > 0 {
 		return n.Params.Cores
 	}
-	if proc.Cores < 2 {
-		return proc.Cores
-	}
-	return 2
+	return min(profileCores, 2)
 }
 
 // effectiveCalibReps returns the calibration repetition count.

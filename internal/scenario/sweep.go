@@ -114,62 +114,65 @@ type Cell struct {
 
 // sweepAxis is one bound axis during expansion.
 type sweepAxis struct {
-	name  string
-	n     int
-	apply func(*Scenario, int)
-	label func(int) string
+	name   string
+	apply  func(*Scenario, int)
+	labels []string // the label of each value, in axis order
 }
 
 // axes materializes the non-empty axes of a normalized sweep in
-// canonical order.
+// canonical order, each value's label built once. A scalar axis value
+// is its own label: Sweep.Normalized folds it exactly as
+// Scenario.Normalized folds the cell field it sets, so the label equals
+// the normalized cell's value ("Core i3-8121U" and "Cannon Lake" are
+// one group, as in the result envelope).
 func (sw Sweep) axes() []sweepAxis {
 	var out []sweepAxis
 	a := sw.Axes
 	if len(a.Processor) > 0 {
-		out = append(out, sweepAxis{AxisProcessor, len(a.Processor),
-			func(s *Scenario, i int) { s.Processor = a.Processor[i] },
-			func(i int) string { return a.Processor[i] }})
+		out = append(out, sweepAxis{AxisProcessor,
+			func(s *Scenario, i int) { s.Processor = a.Processor[i] }, a.Processor})
 	}
 	if len(a.Kind) > 0 {
-		out = append(out, sweepAxis{AxisKind, len(a.Kind),
-			func(s *Scenario, i int) { s.Kind = a.Kind[i] },
-			func(i int) string { return a.Kind[i] }})
+		out = append(out, sweepAxis{AxisKind,
+			func(s *Scenario, i int) { s.Kind = a.Kind[i] }, a.Kind})
 	}
 	if len(a.Baseline) > 0 {
-		out = append(out, sweepAxis{AxisBaseline, len(a.Baseline),
-			func(s *Scenario, i int) { s.Baseline = a.Baseline[i] },
-			func(i int) string { return a.Baseline[i] }})
+		out = append(out, sweepAxis{AxisBaseline,
+			func(s *Scenario, i int) { s.Baseline = a.Baseline[i] }, a.Baseline})
 	}
 	if len(a.Mitigation) > 0 {
-		out = append(out, sweepAxis{AxisMitigation, len(a.Mitigation),
-			func(s *Scenario, i int) { s.Mitigation = a.Mitigation[i] },
-			func(i int) string { return a.Mitigation[i] }})
+		out = append(out, sweepAxis{AxisMitigation,
+			func(s *Scenario, i int) { s.Mitigation = a.Mitigation[i] }, a.Mitigation})
 	}
 	if len(a.Bits) > 0 {
-		out = append(out, sweepAxis{AxisBits, len(a.Bits),
-			func(s *Scenario, i int) { s.Bits = a.Bits[i] },
-			func(i int) string { return strconv.Itoa(a.Bits[i]) }})
+		out = append(out, sweepAxis{AxisBits,
+			func(s *Scenario, i int) { s.Bits = a.Bits[i] }, labelsOf(a.Bits, strconv.Itoa)})
 	}
 	if len(a.Noise) > 0 {
-		out = append(out, sweepAxis{AxisNoise, len(a.Noise),
-			func(s *Scenario, i int) { v := a.Noise[i]; s.Noise = &v },
-			func(i int) string { return compactJSON(a.Noise[i]) }})
+		out = append(out, sweepAxis{AxisNoise,
+			func(s *Scenario, i int) { v := a.Noise[i]; s.Noise = &v }, labelsOf(a.Noise, compactJSON)})
 	}
 	if len(a.Coding) > 0 {
-		out = append(out, sweepAxis{AxisCoding, len(a.Coding),
-			func(s *Scenario, i int) { v := a.Coding[i]; s.Coding = &v },
-			func(i int) string { return compactJSON(a.Coding[i]) }})
+		out = append(out, sweepAxis{AxisCoding,
+			func(s *Scenario, i int) { v := a.Coding[i]; s.Coding = &v }, labelsOf(a.Coding, compactJSON)})
 	}
 	if len(a.Params) > 0 {
-		out = append(out, sweepAxis{AxisParams, len(a.Params),
-			func(s *Scenario, i int) { v := a.Params[i]; s.Params = &v },
-			func(i int) string { return compactJSON(a.Params[i]) }})
+		out = append(out, sweepAxis{AxisParams,
+			func(s *Scenario, i int) { v := a.Params[i]; s.Params = &v }, labelsOf(a.Params, compactJSON)})
+	}
+	return out
+}
+
+func labelsOf[T any](vals []T, label func(T) string) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = label(v)
 	}
 	return out
 }
 
 // compactJSON labels an object axis value deterministically.
-func compactJSON(v any) string {
+func compactJSON[T any](v T) string {
 	b, err := json.Marshal(v)
 	if err != nil {
 		panic("scenario: axis label marshal: " + err.Error())
@@ -296,6 +299,18 @@ func (sw Sweep) EffectiveGroupBy() []string {
 // validateStructure checks everything about the sweep that does not
 // require expanding cells. It expects a normalized sweep.
 func (sw Sweep) validateStructure() (cells int, err error) {
+	// Object axis values are labelled by their JSON encoding, which has
+	// no spelling for NaN or ±Inf.
+	for i := range sw.Axes.Noise {
+		if err := sw.Axes.Noise[i].checkFinite(); err != nil {
+			return 0, fmt.Errorf("sweep: noise axis: %w", err)
+		}
+	}
+	for i := range sw.Axes.Params {
+		if err := sw.Axes.Params[i].checkFinite(); err != nil {
+			return 0, fmt.Errorf("sweep: params axis: %w", err)
+		}
+	}
 	axes := sw.axes()
 	if len(axes) == 0 {
 		return 0, fmt.Errorf("sweep: no axes; a sweep needs at least one non-empty axis (a single run is a scenario)")
@@ -349,17 +364,16 @@ func (sw Sweep) validateStructure() (cells int, err error) {
 	cells = 1
 	for _, ax := range axes {
 		seen := map[string]bool{}
-		for i := 0; i < ax.n; i++ {
-			l := ax.label(i)
+		for _, l := range ax.labels {
 			if seen[l] {
 				return 0, fmt.Errorf("sweep: axis %s repeats value %q (duplicate cells would double-count in aggregates)", ax.name, l)
 			}
 			seen[l] = true
 		}
-		if cells > MaxSweepCells/ax.n {
+		if cells > MaxSweepCells/len(ax.labels) {
 			return 0, fmt.Errorf("sweep: grid exceeds %d cells", MaxSweepCells)
 		}
-		cells *= ax.n
+		cells *= len(ax.labels)
 	}
 	if max := sw.effectiveMaxCells(); cells > max {
 		return 0, fmt.Errorf("sweep: grid expands to %d cells, above the cap of %d (raise max_cells up to %d or shrink an axis)", cells, max, MaxSweepCells)
@@ -392,7 +406,7 @@ func (sw Sweep) validateStructure() (cells int, err error) {
 	axisSizes := map[string]int{}
 	for _, ax := range axes {
 		used[ax.name] = true
-		axisSizes[ax.name] = ax.n
+		axisSizes[ax.name] = len(ax.labels)
 	}
 	seenGroup := map[string]bool{}
 	for _, g := range sw.GroupBy {
@@ -434,11 +448,7 @@ func (sw Sweep) AxisLabels() (map[string][]string, error) {
 	}
 	out := map[string][]string{}
 	for _, ax := range n.axes() {
-		vals := make([]string, ax.n)
-		for i := range vals {
-			vals[i] = ax.label(i)
-		}
-		out[ax.name] = vals
+		out[ax.name] = ax.labels
 	}
 	return out, nil
 }
@@ -452,6 +462,9 @@ type CellIterator struct {
 	odo     []int // current axis indices; nil once exhausted
 	started bool
 	next    int // post-filter index of the next yielded cell
+	// cur is the cell the axes are applied to, kept in the iterator so
+	// the per-cell copy of the base is not a fresh heap object.
+	cur Scenario
 }
 
 // Cells validates the sweep's structure and returns an iterator over
@@ -470,72 +483,103 @@ func (sw Sweep) Cells() (*CellIterator, error) {
 // Next returns the next cell. ok is false when the grid is exhausted or
 // an invalid cell was hit (err tells the two apart).
 func (it *CellIterator) Next() (cell Cell, ok bool, err error) {
+	n, ok, err := it.resolve()
+	if !ok {
+		return Cell{}, false, err
+	}
+	labels := make(map[string]string, len(it.axes))
+	for ai, ax := range it.axes {
+		labels[ax.name] = ax.labels[it.odo[ai]]
+	}
+	if it.sw.Name != "" {
+		n.Name = it.coords(it.sw.Name + ": ")
+	} else {
+		n.Name = it.coords("")
+	}
+	cell = Cell{Index: it.next, Scenario: n, Axes: labels}
+	it.next++
+	return cell, true, nil
+}
+
+// count validates the remaining cells without labelling or naming them
+// and returns the total number of cells the iterator yields.
+func (it *CellIterator) count() (int, error) {
 	for {
-		if it.odo == nil {
-			return Cell{}, false, nil
+		if _, ok, err := it.resolve(); !ok {
+			return it.next, err
 		}
+		it.next++
+	}
+}
+
+// resolve moves the odometer to the next cell the filters keep and
+// returns that cell's normalized scenario, validated. ok is false once
+// the grid is exhausted or the cell is invalid (err tells the two
+// apart).
+func (it *CellIterator) resolve() (n Scenario, ok bool, err error) {
+	for it.odo != nil {
 		if it.started {
 			// Advance the odometer, last axis fastest.
 			i := len(it.odo) - 1
 			for ; i >= 0; i-- {
 				it.odo[i]++
-				if it.odo[i] < it.axes[i].n {
+				if it.odo[i] < len(it.axes[i].labels) {
 					break
 				}
 				it.odo[i] = 0
 			}
 			if i < 0 {
 				it.odo = nil
-				return Cell{}, false, nil
+				break
 			}
 		}
 		it.started = true
 
-		s := it.sw.Base
-		labels := make(map[string]string, len(it.axes))
-		var parts []string
+		it.cur = it.sw.Base
 		for ai, ax := range it.axes {
-			ax.apply(&s, it.odo[ai])
-			labels[ax.name] = ax.label(it.odo[ai])
+			ax.apply(&it.cur, it.odo[ai])
 		}
-		n := s.Normalized()
-		// Re-label scalar axes with their normalized cell values so the
-		// aggregation key matches the result envelope ("Cannon Lake" the
-		// marketing name and "Cannon Lake" the code name are one group).
-		relabel := map[string]string{
-			AxisProcessor: n.Processor, AxisKind: n.Kind,
-			AxisBaseline: n.Baseline, AxisMitigation: n.Mitigation,
-		}
-		for name, v := range relabel {
-			if _, usesAxis := labels[name]; usesAxis {
-				labels[name] = v
-			}
-		}
-		filtered := false
-		for _, f := range it.sw.Filters {
-			if f.matches(n) {
-				filtered = true
-				break
-			}
-		}
-		if filtered {
+		if n = it.cur.Normalized(); it.sw.drops(n) {
 			continue
 		}
-		for _, ax := range it.axes {
-			parts = append(parts, ax.name+"="+labels[ax.name])
-		}
-		name := strings.Join(parts, " ")
-		if it.sw.Name != "" {
-			name = it.sw.Name + ": " + name
-		}
-		n.Name = name
 		if err := n.validate(); err != nil {
-			return Cell{}, false, fmt.Errorf("sweep: cell %d (%s): %w (add a filter to drop the combination)", it.next, strings.Join(parts, " "), err)
+			return Scenario{}, false, fmt.Errorf("sweep: cell %d (%s): %w (add a filter to drop the combination)", it.next, it.coords(""), err)
 		}
-		cell = Cell{Index: it.next, Scenario: n, Axes: labels}
-		it.next++
-		return cell, true, nil
+		return n, true, nil
 	}
+	return Scenario{}, false, nil
+}
+
+// drops reports whether any filter of the sweep matches the normalized
+// cell scenario n.
+func (sw Sweep) drops(n Scenario) bool {
+	for _, f := range sw.Filters {
+		if f.matches(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// coords spells the current cell's axis assignments after prefix,
+// "axis=label ...".
+func (it *CellIterator) coords(prefix string) string {
+	size := len(prefix)
+	for ai, ax := range it.axes {
+		size += len(ax.name) + len(ax.labels[it.odo[ai]]) + 2
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(prefix)
+	for ai, ax := range it.axes {
+		if ai > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(ax.name)
+		b.WriteByte('=')
+		b.WriteString(ax.labels[it.odo[ai]])
+	}
+	return b.String()
 }
 
 // EachCell streams the sweep's cells through fn in expansion order,
@@ -583,8 +627,12 @@ func (sw Sweep) Validate() error {
 // to, validating the sweep (structure and every cell) in the same
 // single pass.
 func (sw Sweep) CountCells() (int, error) {
-	n := 0
-	if err := sw.EachCell(func(Cell) error { n++; return nil }); err != nil {
+	it, err := sw.Cells()
+	if err != nil {
+		return 0, err
+	}
+	n, err := it.count()
+	if err != nil {
 		return 0, err
 	}
 	if n == 0 {
@@ -622,7 +670,7 @@ func (sw Sweep) Describe() string {
 	n := sw.Normalized()
 	var dims []string
 	for _, ax := range n.axes() {
-		dims = append(dims, fmt.Sprintf("%s×%d", ax.name, ax.n))
+		dims = append(dims, fmt.Sprintf("%s×%d", ax.name, len(ax.labels)))
 	}
 	desc := "sweep " + strings.Join(dims, " ")
 	if n.Refine != nil {

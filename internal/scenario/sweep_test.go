@@ -179,6 +179,41 @@ func TestSweepObjectAxes(t *testing.T) {
 	}
 }
 
+// TestSweepScalarLabelsAreCellValues: a scalar axis labels each cell
+// with the normalized cell's own field, however the spec spells the
+// value (marketing names, case, padding, aliases), and the count pass
+// agrees with the expansion.
+func TestSweepScalarLabelsAreCellValues(t *testing.T) {
+	sw := Sweep{
+		Base: Scenario{Role: RoleMitigation, Bits: 16},
+		Axes: SweepAxes{
+			Processor:  []string{"Core i3-8121U", "Core i7-4770K", "Skylake-SP"},
+			Kind:       []string{" Cores", "SMT "},
+			Mitigation: []string{"None", "Per-Core-VR", " securemode"},
+		},
+	}
+	cells, err := sw.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sw.CountCells(); err != nil || n != len(cells) || n != 18 {
+		t.Fatalf("CountCells = %d, %v; expanded %d, want 18", n, err, len(cells))
+	}
+	for _, c := range cells {
+		n := c.Scenario
+		for axis, want := range map[string]string{
+			AxisProcessor: n.Processor, AxisKind: n.Kind, AxisMitigation: n.Mitigation,
+		} {
+			if c.Axes[axis] != want {
+				t.Errorf("cell %d: %s label %q, cell value %q", c.Index, axis, c.Axes[axis], want)
+			}
+		}
+		if !strings.Contains(n.Name, "processor="+n.Processor+" ") {
+			t.Errorf("cell %d name %q lacks its code name %q", c.Index, n.Name, n.Processor)
+		}
+	}
+}
+
 // TestSweepCountAndCap: CountCells reports post-filter size; the
 // default cap admits grids up to DefaultMaxSweepCells pre-filter.
 func TestSweepCountAndCap(t *testing.T) {

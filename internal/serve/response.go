@@ -2,9 +2,10 @@ package serve
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"strconv"
+
+	"ichannels/internal/jsonenc"
 )
 
 // A successful single-object POST /v1/scenarios response is the
@@ -53,17 +54,17 @@ func writeScenario(w http.ResponseWriter, name, hash string, seed int64, cached 
 	head = append(head, "{\n"...)
 	if name != "" {
 		head = append(head, `  "name": `...)
-		head = appendString(head, name)
+		head = jsonenc.AppendString(head, name)
 		head = append(head, ",\n"...)
 	}
 	head = append(head, `  "hash": `...)
-	head = appendString(head, hash)
+	head = jsonenc.AppendString(head, hash)
 	head = append(head, ",\n  \"seed\": "...)
 	head = strconv.AppendInt(head, seed, 10)
 	head = append(head, ",\n  \"cached\": "...)
 	head = strconv.AppendBool(head, cached)
 	head = append(head, ",\n  \"elapsed_us\": "...)
-	head = appendFloat(head, elapsedUS)
+	head = jsonenc.AppendFloat(head, elapsedUS)
 	head = append(head, ",\n  \"result\": "...)
 	w.Write(head)
 	w.Write(block)
@@ -72,39 +73,3 @@ func writeScenario(w http.ResponseWriter, name, hash string, seed int64, cached 
 
 // responseTail closes the result block and the response object.
 var responseTail = []byte("\n}\n")
-
-// appendString appends s as encoding/json encodes a string. Printable
-// ASCII that needs no escaping is copied as is; anything else takes
-// encoding/json's own path, so HTML escaping, U+2028/U+2029 and invalid
-// UTF-8 come out exactly as it writes them.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			lit, _ := json.Marshal(s) // a string always marshals
-			return append(b, lit...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendFloat appends a finite f as encoding/json encodes a float64:
-// the shortest representation, in exponent form below 1e-6 and from
-// 1e21 on, with the exponent's leading zero dropped.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
