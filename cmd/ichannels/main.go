@@ -100,23 +100,23 @@ func usage() {
   ichannels sweep schema              print the sweep spec JSON schema
   ichannels store ls|verify|gc|pack <dir> [-json] (gc: [-max-age DUR] [-max-bytes N])
                                       list, integrity-check, clean, or migrate a result store directory
-                                      (both layouts: per-file entries or packed segments; gc retention:
-                                      drop entries older than -max-age, then evict oldest until the
-                                      corpus fits -max-bytes; pack migrates per-file -> packed segments
-                                      in place, idempotent and crash-resumable)
+                                      (gc retention: drop entries older than -max-age, then evict oldest
+                                      until the corpus fits -max-bytes; pack migrates a corpus in the
+                                      older per-file layout into segments in place, idempotent and
+                                      crash-resumable, a no-op on a packed directory)
   ichannels store sync <dir> -to URL [-json]
                                       push every local entry the remote corpus lacks (reconcile a
                                       -cache replica after a partition, dropped flushes, or a remote
                                       wipe; idempotent — deterministic results make pushes byte-stable)
-  ichannels store bench [-n N] [-reads N] [-layout both|perfile|packed] [-dir DIR] [-json|-bench]
+  ichannels store bench [-n N] [-reads N] [-dir DIR] [-json|-bench]
                                       fill a synthetic corpus and measure write throughput, warm-read
-                                      latency, and gc time per layout (-bench emits go-bench lines)
+                                      latency, and gc time (-bench emits go-bench lines)
   ichannels serve [-addr HOST:PORT] [-store DIR|URL [-cache DIR]] [-worker] [-share]
                   [-gc-every DUR [-max-age DUR] [-max-bytes N]]
                                       HTTP v1 API: GET /v1/experiments, GET /v1/scenarios/schema,
                                       POST /v1/scenarios, POST /v1/sweeps, GET /v1/sweeps/schema,
                                       GET /v1/stats (a paper figure is an experiment-role scenario;
-                                      -store = durable result tier, either layout or a remote URL;
+                                      -store = durable result tier, a directory or a remote URL;
                                       -cache layers a local read-through replica over a remote URL;
                                       -worker adds POST /v1/cells, the distributed sweep cell endpoint;
                                       -share adds GET/PUT /v1/store/{key} + GET /v1/store, so other
@@ -452,12 +452,12 @@ func sweepExpand(args []string) error {
 // scenario and sweep run commands share: no -store means no
 // persistence, -store alone persists but recomputes everything
 // (re-verifying determinism), -store with -resume serves
-// already-materialized results. The spec is a directory (either
-// layout, detected) or an http(s) URL naming a `serve -share` corpus;
+// already-materialized results. The spec is a directory or an
+// http(s) URL naming a `serve -share` corpus;
 // with a URL, -cache DIR layers a read-through replica cache over it
 // (local hits skip the network, remote hits are verified once and
 // kept, writes flush upstream asynchronously). The returned closer
-// seals packed segments and drains the replica flush queue, and must
+// seals the active segment and drains the replica flush queue, and must
 // run after the sweep drains.
 func openRunStore(cmd, spec, cache string, resume bool) (ichannels.ResultStore, func() error, error) {
 	if spec == "" {
@@ -489,9 +489,7 @@ func openRunStore(cmd, spec, cache string, resume bool) (ichannels.ResultStore, 
 	return st, closeStore, nil
 }
 
-// storeCmd dispatches the result-store maintenance subcommands. Every
-// directory subcommand opens through the layout-detecting facade, so
-// per-file and packed corpora are served by identical invocations.
+// storeCmd dispatches the result-store maintenance subcommands.
 func storeCmd(args []string) error {
 	if len(args) < 1 {
 		return errors.New("store: missing subcommand (ls, verify, gc, pack, sync, or bench)")
@@ -638,33 +636,19 @@ func storeSync(args []string) error {
 	return nil
 }
 
-// storeBench measures the layouts against each other on a synthetic
-// corpus: write throughput, warm-read latency, gc time.
+// storeBench measures the store on a synthetic corpus: write
+// throughput, warm-read latency, gc time.
 func storeBench(args []string) error {
 	fs := flag.NewFlagSet("store bench", flag.ContinueOnError)
-	n := fs.Int("n", 1000000, "synthetic entries to write per layout")
+	n := fs.Int("n", 1000000, "synthetic entries to write")
 	reads := fs.Int("reads", 0, "warm reads to time (0 = one per entry)")
-	layoutName := fs.String("layout", "both", "layouts to measure: both, perfile, or packed")
 	dir := fs.String("dir", "", "scratch directory (default: a temp dir, removed afterwards)")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable report")
 	benchOut := fs.Bool("bench", false, "emit go-bench lines (for tools/benchjson)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var layouts []ichannels.ResultStoreLayout
-	switch *layoutName {
-	case "both":
-		layouts = []ichannels.ResultStoreLayout{ichannels.StoreLayoutPerFile, ichannels.StoreLayoutPacked}
-	case "perfile":
-		layouts = []ichannels.ResultStoreLayout{ichannels.StoreLayoutPerFile}
-	case "packed":
-		layouts = []ichannels.ResultStoreLayout{ichannels.StoreLayoutPacked}
-	default:
-		return fmt.Errorf("store bench: unknown -layout %q (both, perfile, or packed)", *layoutName)
-	}
-	rep, err := ichannels.RunStoreBench(ichannels.StoreBenchOptions{
-		Entries: *n, Reads: *reads, Dir: *dir, Layouts: layouts,
-	})
+	rep, err := ichannels.RunStoreBench(ichannels.StoreBenchOptions{Entries: *n, Reads: *reads, Dir: *dir})
 	if err != nil {
 		return err
 	}
@@ -674,20 +658,17 @@ func storeBench(args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	case *benchOut:
-		for _, lr := range rep.Layouts {
-			fmt.Printf("BenchmarkStoreWrite/%s %d %.0f ns/op %.1f entries_per_sec\n",
-				lr.Layout, lr.Entries, lr.WriteNSPerOp, lr.WriteEntriesPerSec)
-			fmt.Printf("BenchmarkStoreWarmRead/%s %d %.0f ns/op %.0f p95_ns\n",
-				lr.Layout, lr.Reads, lr.ReadNSPerOp, lr.ReadP95NS)
-			fmt.Printf("BenchmarkStoreGC/%s 1 %.0f ns/op\n", lr.Layout, lr.GCNS)
-		}
+		// The /packed suffix keeps the archived benchmark series going.
+		fmt.Printf("BenchmarkStoreWrite/packed %d %.0f ns/op %.1f entries_per_sec\n",
+			rep.Entries, rep.WriteNSPerOp, rep.WriteEntriesPerSec)
+		fmt.Printf("BenchmarkStoreWarmRead/packed %d %.0f ns/op %.0f p95_ns\n",
+			rep.Reads, rep.ReadNSPerOp, rep.ReadP95NS)
+		fmt.Printf("BenchmarkStoreGC/packed 1 %.0f ns/op\n", rep.GCNS)
 	default:
-		fmt.Printf("%-8s %12s %14s %14s %14s %12s\n",
-			"layout", "entries", "write ns/op", "read ns/op", "read p95 ns", "gc ms")
-		for _, lr := range rep.Layouts {
-			fmt.Printf("%-8s %12d %14.0f %14.0f %14.0f %12.1f\n",
-				lr.Layout, lr.Entries, lr.WriteNSPerOp, lr.ReadNSPerOp, lr.ReadP95NS, lr.GCNS/1e6)
-		}
+		fmt.Printf("%12s %14s %14s %14s %12s\n",
+			"entries", "write ns/op", "read ns/op", "read p95 ns", "gc ms")
+		fmt.Printf("%12d %14.0f %14.0f %14.0f %12.1f\n",
+			rep.Entries, rep.WriteNSPerOp, rep.ReadNSPerOp, rep.ReadP95NS, rep.GCNS/1e6)
 	}
 	return nil
 }
@@ -696,7 +677,7 @@ func storeBench(args []string) error {
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address")
-	storeSpec := fs.String("store", "", "durable result store: a directory (either layout) or a remote http(s) URL")
+	storeSpec := fs.String("store", "", "durable result store: a directory or a remote http(s) URL")
 	cacheDir := fs.String("cache", "", "with a remote -store URL, keep a local read-through replica cache in this directory")
 	worker := fs.Bool("worker", false, "additionally serve POST /v1/cells, the distributed sweep cell endpoint coordinators dispatch to")
 	share := fs.Bool("share", false, "additionally serve the store's objects over GET/PUT /v1/store/{key} (requires -store)")

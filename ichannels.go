@@ -406,19 +406,15 @@ type ResultStore = store.Store
 // ResultStoreKey identifies one stored result.
 type ResultStoreKey = store.Key
 
-// FSResultStore is the filesystem ResultStore: one atomically written,
-// checksummed, versioned envelope per result under a root directory.
-type FSResultStore = store.FS
-
 // StoreEntry, StoreVerifyReport and StoreGCReport are the maintenance
-// views of a filesystem store (List, Verify, GC/GCWith).
+// views of a directory store (List, Verify, GC/GCWith).
 type (
 	StoreEntry        = store.Entry
 	StoreVerifyReport = store.VerifyReport
 	StoreGCReport     = store.GCReport
 )
 
-// StoreGCOptions bounds what FSResultStore.GCWith retains: entries
+// StoreGCOptions bounds what DirResultStore.GCWith retains: entries
 // older than MaxAge are removed, then the oldest survivors are evicted
 // until the corpus fits MaxBytes — the retention knobs
 // `ichannels store gc -max-age -max-bytes` exposes for CI scratch
@@ -426,74 +422,37 @@ type (
 // so retention trades disk for recompute, never data.
 type StoreGCOptions = store.GCOptions
 
-// OpenStore creates (if needed) and opens a filesystem result store
-// rooted at dir — what `ichannels sweep run -store DIR` and
-// `ichannels serve -store DIR` open.
-func OpenStore(dir string) (*FSResultStore, error) { return store.Open(dir) }
-
 // WriteOnlyStore returns a view of st whose reads always miss: runs
 // persist every result but recompute all of them — how `-store`
 // without `-resume` re-verifies determinism while (re)materializing
 // the corpus.
 func WriteOnlyStore(st ResultStore) ResultStore { return store.WriteOnly(st) }
 
-// ---- Store v2: packed segments, migration, backends ----
+// ---- Directory stores: segments, migration ----
 
-// ResultStoreLayout names an on-disk corpus layout: per-file (one
-// envelope per file) or packed (append-only segments with index
-// sidecars). Both serve the identical ResultStore surface; the layout
-// only changes the storage economics.
-type ResultStoreLayout = store.Layout
-
-// The two directory layouts.
-const (
-	StoreLayoutPerFile = store.LayoutPerFile
-	StoreLayoutPacked  = store.LayoutPacked
-)
-
-// DirResultStore is the full directory-store surface both layouts
-// implement: the ResultStore read/write pair plus maintenance (List,
-// Verify, GC), the raw-object Backend verbs, and lifecycle (Close).
+// DirResultStore is the directory store: checksummed envelopes packed
+// into append-only segment files with per-segment index sidecars,
+// crash-safe rebuild, and live-entry compaction. Besides the
+// ResultStore pair it carries maintenance (List, Verify, GC), the
+// raw-object Backend verbs, and lifecycle (Close).
 type DirResultStore = store.DirStore
-
-// PackedResultStore is the packed-segment DirResultStore: checksummed
-// envelopes packed into append-only segment files with per-segment
-// index sidecars, crash-safe rebuild, and live-entry compaction.
-type PackedResultStore = store.Packed
-
-// RemoteResultStore is a ResultStore served by another process over
-// HTTP (`ichannels serve -store DIR -share`): every read is re-verified
-// locally, so a misbehaving server degrades to recomputes, never to
-// wrong bytes.
-type RemoteResultStore = store.Remote
-
-// ResultStoreBackend is the raw-object seam under every store: three
-// verbs moving opaque envelope bytes by key. Implement it to plug a new
-// transport in; wrap it with NewBackendResultStore to get a verifying
-// ResultStore back.
-type ResultStoreBackend = store.Backend
 
 // StorePackReport and the bench types are the machine-readable results
 // of `ichannels store pack` and `ichannels store bench`.
 type (
-	StorePackReport        = store.PackReport
-	StoreBenchOptions      = store.BenchOptions
-	StoreBenchReport       = store.BenchReport
-	StoreBenchLayoutReport = store.BenchLayoutReport
+	StorePackReport   = store.PackReport
+	StoreBenchOptions = store.BenchOptions
+	StoreBenchReport  = store.BenchReport
 )
 
-// DetectStoreLayout reports which layout a store directory holds.
-func DetectStoreLayout(dir string) ResultStoreLayout { return store.DetectLayout(dir) }
-
-// OpenStoreDir opens a store directory in whichever layout it already
-// holds — the opener every maintenance surface uses so `store
-// ls|verify|gc` work identically on both layouts.
-func OpenStoreDir(dir string) (DirResultStore, error) { return store.OpenDir(dir) }
+// OpenStoreDir creates (if needed) and opens a store directory — the
+// opener every maintenance surface uses. Many processes may write one
+// directory at once; see the store package for the lock rule.
+func OpenStoreDir(dir string) (DirResultStore, error) { return store.OpenPacked(dir) }
 
 // OpenResultStore opens a store spec: an http(s):// URL becomes a
-// RemoteResultStore talking to a `serve -share` corpus, anything else a
-// directory in its detected layout. The opener behind every `-store`
-// flag.
+// remote store talking to a `serve -share` corpus, anything else a
+// store directory. The opener behind every `-store` flag.
 func OpenResultStore(spec string) (ResultStore, error) { return store.OpenAuto(spec) }
 
 // IsRemoteStoreSpec reports whether a -store spec names a remote corpus.
@@ -503,35 +462,7 @@ func IsRemoteStoreSpec(spec string) bool { return store.IsRemoteSpec(spec) }
 // compaction) when it has any; stores without lifecycle are a no-op.
 func CloseResultStore(st ResultStore) error { return store.CloseStore(st) }
 
-// OpenPackedStore creates (if needed) and opens a packed-layout store.
-func OpenPackedStore(dir string) (*PackedResultStore, error) { return store.OpenPacked(dir) }
-
-// OpenRemoteStore opens the corpus a `serve -store DIR -share` process
-// exposes at baseURL.
-func OpenRemoteStore(baseURL string) (*RemoteResultStore, error) {
-	return store.OpenRemote(baseURL, nil)
-}
-
-// NewBackendResultStore wraps a raw-object backend in the envelope
-// verification that makes it a trustworthy ResultStore.
-func NewBackendResultStore(b ResultStoreBackend) ResultStore { return store.NewBackendStore(b) }
-
 // ---- Resilient shared-corpus tier ----
-
-// RemoteStoreRetryOptions tunes the retry/backoff/circuit-breaker
-// policy every remote store opens with (OpenRemoteStore uses the
-// defaults). Transient failures — transport errors, timeouts, 5xx —
-// are retried with bounded exponential backoff; permanent ones (4xx,
-// corrupt envelopes) surface immediately; a dead share server costs
-// one probe per cooldown instead of a timeout per cell.
-type RemoteStoreRetryOptions = store.RetryOptions
-
-// OpenRemoteStoreWith opens a remote corpus with an explicit retry
-// policy (tests use RemoteStoreRetryOptions{Disable: true} to skip
-// backoff sleeps).
-func OpenRemoteStoreWith(baseURL string, opts RemoteStoreRetryOptions) (*RemoteResultStore, error) {
-	return store.OpenRemoteWith(baseURL, nil, opts)
-}
 
 // ReplicaResultStore is the read-through replica cache that makes the
 // shared-corpus tier survivable: a local store layered over a remote
@@ -556,8 +487,8 @@ type (
 	StoreReplicaStats = store.ReplicaStats
 )
 
-// OpenReplicaStore layers a local cache directory (created packed if
-// new) over the remote corpus at baseURL — what `-store URL -cache
+// OpenReplicaStore layers a local cache directory over the remote
+// corpus at baseURL — what `-store URL -cache
 // DIR` opens. The remote leg carries the default retry policy.
 func OpenReplicaStore(cacheDir, baseURL string) (*ReplicaResultStore, error) {
 	r, err := store.OpenRemote(baseURL, nil)
@@ -572,7 +503,7 @@ func OpenReplicaStore(cacheDir, baseURL string) (*ReplicaResultStore, error) {
 // upstream. The recovery path after a partition or a remote wipe —
 // `ichannels store sync` drives it.
 func SyncStoreDir(ctx context.Context, dir, baseURL string) (*StoreSyncReport, error) {
-	local, err := store.OpenDir(dir)
+	local, err := store.OpenPacked(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -584,14 +515,14 @@ func SyncStoreDir(ctx context.Context, dir, baseURL string) (*StoreSyncReport, e
 	return store.SyncDirToRemote(ctx, local, r.Retry())
 }
 
-// PackStore migrates a per-file corpus into packed segments in place.
-// Idempotent and crash-resumable: each entry is removed only after its
-// bytes land in a segment, and a re-run finishes whatever a crash left.
+// PackStore migrates a corpus in the older per-file layout into
+// segments in place. Idempotent and crash-resumable: each entry is
+// removed only after its bytes land in a segment, and a re-run finishes
+// whatever a crash left; a packed or empty directory is a no-op.
 func PackStore(dir string) (*StorePackReport, error) { return store.Pack(dir) }
 
 // RunStoreBench fills a synthetic corpus and measures write throughput,
-// warm-read latency, and gc time — per layout, so the per-file/packed
-// trade-off is a measurement, not folklore.
+// warm-read latency, and gc time.
 func RunStoreBench(opts StoreBenchOptions) (*StoreBenchReport, error) {
 	return store.RunBench(opts)
 }

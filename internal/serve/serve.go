@@ -119,7 +119,7 @@ type Options struct {
 	// Off by default — a plain API server is not a compute worker.
 	Worker bool
 	// GCEvery, when positive and the store supports retention
-	// (store.DirStore's GCWith — both directory layouts and the replica
+	// (store.DirStore's GCWith — the directory store and the replica
 	// cache do), runs an age/size GC pass on that interval for the
 	// lifetime of the server. GCMaxAge and GCMaxBytes are the pass's
 	// GCOptions; both zero still removes corrupt entries and stale
@@ -261,7 +261,7 @@ func New(opts Options) *Server {
 }
 
 // retainer is the retention surface a store must expose for the timer
-// (both directory layouts and the replica cache satisfy it).
+// (the directory store and the replica cache satisfy it).
 type retainer interface {
 	GCWith(opts store.GCOptions) (*store.GCReport, error)
 }

@@ -14,7 +14,7 @@ import (
 // same store directory) serves previously computed results from disk
 // without recomputing them — the two-tier contract.
 func TestServerWarmsFromStore(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenPacked(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestServerWarmsFromStore(t *testing.T) {
 // server recomputes nothing — every cell streams with "cached":true,
 // and the aggregate bytes match the cold run's.
 func TestV1SweepSkipsMaterializedCells(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenPacked(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

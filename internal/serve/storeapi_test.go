@@ -42,66 +42,57 @@ func storeTestResult(seed int64) *scenario.Result {
 
 // TestV1StoreSharing: a ShareStore server serves its corpus to a
 // store.OpenRemote client — put, get, miss, and list all round-trip
-// over the wire, for both directory layouts underneath.
+// over the wire.
 func TestV1StoreSharing(t *testing.T) {
-	for _, layout := range []store.Layout{store.LayoutPerFile, store.LayoutPacked} {
-		t.Run(string(layout), func(t *testing.T) {
-			dir := t.TempDir()
-			var st store.Store
-			var err error
-			if layout == store.LayoutPacked {
-				st, err = store.OpenPacked(dir)
-			} else {
-				st, err = store.Open(dir)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer store.CloseStore(st)
+	t.Run("packed", func(t *testing.T) {
+		st, err := store.OpenPacked(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.CloseStore(st)
 
-			srv := New(Options{Store: st, ShareStore: true})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
+		srv := New(Options{Store: st, ShareStore: true})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
 
-			remote, err := store.OpenRemote(ts.URL, ts.Client())
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := store.Key{Hash: "0123456789abcdef", Seed: 7}
-			if _, ok, err := remote.Get(key); ok || err != nil {
-				t.Fatalf("miss through remote: ok=%v err=%v", ok, err)
-			}
-			if err := remote.Put(key, storeTestResult(7)); err != nil {
-				t.Fatal(err)
-			}
-			res, ok, err := remote.Get(key)
-			if !ok || err != nil {
-				t.Fatalf("get through remote: ok=%v err=%v", ok, err)
-			}
-			if res.Seed != 7 || res.BER != 0.125 {
-				t.Fatalf("wrong result over the wire: %+v", res)
-			}
-			ls, err := remote.List()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ls) != 1 || ls[0].Key != key {
-				t.Fatalf("remote list %+v, want exactly %s", ls, key)
-			}
-			// The server tallied the traffic: one miss, one hit.
-			hits, misses, errors := srv.StoreCounters()
-			if hits != 1 || misses != 1 || errors != 0 {
-				t.Fatalf("store counters %d/%d/%d, want 1 hit, 1 miss, 0 errors", hits, misses, errors)
-			}
-		})
-	}
+		remote, err := store.OpenRemote(ts.URL, ts.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := store.Key{Hash: "0123456789abcdef", Seed: 7}
+		if _, ok, err := remote.Get(key); ok || err != nil {
+			t.Fatalf("miss through remote: ok=%v err=%v", ok, err)
+		}
+		if err := remote.Put(key, storeTestResult(7)); err != nil {
+			t.Fatal(err)
+		}
+		res, ok, err := remote.Get(key)
+		if !ok || err != nil {
+			t.Fatalf("get through remote: ok=%v err=%v", ok, err)
+		}
+		if res.Seed != 7 || res.BER != 0.125 {
+			t.Fatalf("wrong result over the wire: %+v", res)
+		}
+		ls, err := remote.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ls) != 1 || ls[0].Key != key {
+			t.Fatalf("remote list %+v, want exactly %s", ls, key)
+		}
+		// The server tallied the traffic: one miss, one hit.
+		hits, misses, errors := srv.StoreCounters()
+		if hits != 1 || misses != 1 || errors != 0 {
+			t.Fatalf("store counters %d/%d/%d, want 1 hit, 1 miss, 0 errors", hits, misses, errors)
+		}
+	})
 }
 
 // TestV1StoreRejectsBadUploads: the server verifies envelopes before
 // storing them — garbage, checksum damage, and misidentified uploads
 // all bounce with 400 and leave the corpus empty.
 func TestV1StoreRejectsBadUploads(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenPacked(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +158,7 @@ func TestV1StoreRejectsBadUploads(t *testing.T) {
 // TestV1StoreNotSharedByDefault: without ShareStore the object routes
 // do not exist, even with a store configured — sharing is opt-in.
 func TestV1StoreNotSharedByDefault(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenPacked(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +206,7 @@ func TestV1Stats(t *testing.T) {
 	// Stored server: one compute (store miss) + one repeat (memory hit),
 	// then a restart serving from the store (store hit).
 	dir := t.TempDir()
-	st, err := store.Open(dir)
+	st, err := store.OpenPacked(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func TestWorkerEndpointDisabledByDefault(t *testing.T) {
 // on the single-flight cache (cross-node dedup) and successes land in
 // the durable store (the shared corpus -resume reads).
 func TestWorkerEndpointSharesCacheAndStore(t *testing.T) {
-	fs, err := store.Open(t.TempDir())
+	fs, err := store.OpenPacked(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // Backend is the pluggable object seam under the Store contract: raw
-// envelope bytes addressed by content key. Both on-disk layouts expose
-// it (FS stores one object per file, Packed one record per object), and
-// the HTTP remote backend serves it over /v1/store/{key} — so N workers
+// envelope bytes addressed by content key. The directory store exposes
+// it (Packed keeps one segment record per object), and the HTTP remote
+// backend serves it over /v1/store/{key} — so N workers
 // can share one corpus without a shared filesystem.
 //
 // A Backend moves bytes; it does not vouch for them. BackendStore

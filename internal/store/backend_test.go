@@ -1,6 +1,6 @@
 package store
 
-// The backend seam: both directory layouts and the HTTP remote expose
+// The backend seam: the directory store and the HTTP remote expose
 // the same three-verb object protocol, and BackendStore layers the
 // envelope verification that makes any of them safe to trust.
 
@@ -27,16 +27,13 @@ func backendFixtures(t *testing.T) map[string]Backend {
 		}
 	}
 
-	fs := openTest(t)
-	fill(fs)
-
 	packed := openPackedTest(t)
 	fill(packed)
 
-	// The remote backend, served off a per-file store the way
+	// The remote backend, served off a directory store the way
 	// `serve -store DIR -share` does — but through a minimal handler so
 	// this test pins the wire protocol itself, not the serve layer.
-	origin := openTest(t)
+	origin := openPackedTest(t)
 	fill(origin)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == StorePathPrefix {
@@ -77,7 +74,7 @@ func backendFixtures(t *testing.T) map[string]Backend {
 		t.Fatal(err)
 	}
 
-	return map[string]Backend{"fs": fs, "packed": packed, "http": hb}
+	return map[string]Backend{"packed": packed, "http": hb}
 }
 
 func writeTestJSON(w http.ResponseWriter, v any) {
@@ -179,15 +176,15 @@ func TestHTTPBackendErrors(t *testing.T) {
 }
 
 // TestOpenAuto routes specs: URLs to the remote store, paths to the
-// directory layouts.
+// directory store.
 func TestOpenAuto(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenAuto(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.(*FS); !ok {
-		t.Fatalf("OpenAuto(dir) = %T, want *FS", st)
+	if _, ok := st.(*Packed); !ok {
+		t.Fatalf("OpenAuto(dir) = %T, want *Packed", st)
 	}
 	CloseStore(st)
 

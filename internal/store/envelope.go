@@ -60,7 +60,7 @@ func EncodeEnvelope(key Key, res *scenario.Result) ([]byte, error) {
 // DecodeEnvelope validates one envelope's bytes against the key the
 // caller expects — layout, version, identity, and result checksum — and
 // returns the result. It is the read half of EncodeEnvelope, shared by
-// every store layout (Get/Verify/GC/pack), the share server's upload
+// every store read path (Get/Verify/GC/pack), the share server's upload
 // check, and the distributed coordinator (worker-response
 // verification).
 func DecodeEnvelope(key Key, data []byte) (*scenario.Result, error) {

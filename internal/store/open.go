@@ -1,28 +1,13 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 )
 
-// Layout names an on-disk store format.
-type Layout string
-
-const (
-	// LayoutPerFile is the v1 format: one file per entry under
-	// dir/<hash[:2]>/<hash>-<seed>.json.
-	LayoutPerFile Layout = "perfile"
-	// LayoutPacked is the v2 format: framed envelopes appended to
-	// segment files under dir/segments, each with an index sidecar.
-	LayoutPacked Layout = "packed"
-)
-
-// DirStore is the full surface both directory-backed layouts share:
-// the Store contract plus the maintenance operations the `store` CLI
-// and CI retention drive. OpenDir returns one without the caller ever
-// naming a layout.
+// DirStore is the full surface of a directory store: the Store
+// contract plus the maintenance operations the `store` CLI and serve
+// retention drive. OpenPacked returns one.
 type DirStore interface {
 	Store
 	Backend
@@ -31,40 +16,15 @@ type DirStore interface {
 	GC() (*GCReport, error)
 	GCWith(opts GCOptions) (*GCReport, error)
 	Dir() string
-	Layout() Layout
-	// Close releases resources and, for the packed layout, seals the
-	// active segment. Always safe to call; a no-op for per-file.
+	// Close seals the active segment and releases file handles.
 	Close() error
 }
 
 var (
-	_ DirStore = (*FS)(nil)
 	_ DirStore = (*Packed)(nil)
 	_ Store    = (*BackendStore)(nil)
 	_ Backend  = (*BackendStore)(nil)
 )
-
-// DetectLayout reports which format dir holds: packed when a
-// dir/segments directory exists, per-file otherwise (including for a
-// directory that does not exist yet — new corpora default to the v1
-// layout until `store pack` migrates them).
-func DetectLayout(dir string) Layout {
-	if info, err := os.Stat(filepath.Join(dir, SegmentsDirName)); err == nil && info.IsDir() {
-		return LayoutPacked
-	}
-	return LayoutPerFile
-}
-
-// OpenDir opens a directory-backed store in whatever layout it already
-// holds. Every CLI surface (-store, -resume, `store ls|verify|gc`, and
-// `serve -store`) opens through it, which is what makes the layouts
-// interchangeable: no caller branches on the format.
-func OpenDir(dir string) (DirStore, error) {
-	if DetectLayout(dir) == LayoutPacked {
-		return OpenPacked(dir)
-	}
-	return Open(dir)
-}
 
 // IsRemoteSpec reports whether a -store argument names a remote
 // backend (an http:// or https:// base URL) rather than a directory.
@@ -73,16 +33,16 @@ func IsRemoteSpec(spec string) bool {
 }
 
 // OpenAuto opens any -store argument: a remote store for http(s) URLs,
-// a directory store (either layout) otherwise.
+// a directory store otherwise.
 func OpenAuto(spec string) (Store, error) {
 	if IsRemoteSpec(spec) {
 		return OpenRemote(spec, nil)
 	}
-	return OpenDir(spec)
+	return OpenPacked(spec)
 }
 
 // ParseKeyString recovers a Key from its canonical "hash-seed" spelling
-// (Key.String, entry file basenames, /v1/store/{key} path elements).
+// (Key.String, /v1/store/{key} path elements).
 func ParseKeyString(s string) (Key, bool) {
 	i := strings.LastIndexByte(s, '-')
 	if i <= 0 || i == len(s)-1 {

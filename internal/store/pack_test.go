@@ -3,30 +3,72 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestPackMigratesCorpus: every per-file entry lands in segments with
-// identical payload bytes, the per-file originals disappear, and the
-// directory now detects as packed.
-func TestPackMigratesCorpus(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := Open(dir)
+// writeLegacy writes key's envelope the way the per-file layout did,
+// to dir/<hash[:2]>/<hash>-<seed>.json, and returns the file's path.
+func writeLegacy(t *testing.T, dir string, key Key) string {
+	t.Helper()
+	data, err := EncodeEnvelope(key, testResult(key.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(dir, key.Hash[:2], key.String()+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOpenRefusesUnmigratedCorpus: a directory of per-file entries and
+// no segments is not opened as an empty store — the error names `store
+// pack`, and once pack has run the same open serves every entry.
+func TestOpenRefusesUnmigratedCorpus(t *testing.T) {
+	dir := t.TempDir()
+	key := Key{Hash: "0123456789abcdef", Seed: 7}
+	writeLegacy(t, dir, key)
+	if p, err := OpenPacked(dir); err == nil || !strings.Contains(err.Error(), "store pack") {
+		if p != nil {
+			p.Close()
+		}
+		t.Fatalf("open of a per-file corpus: err=%v, want a pointer to `store pack`", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, SegmentsDirName)); !os.IsNotExist(err) {
+		t.Fatalf("the refused open created segments/ (err=%v)", err)
+	}
+	if _, err := Pack(dir); err != nil {
+		t.Fatal(err)
+	}
+	p, err := OpenPacked(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, ok, err := p.Get(key); !ok || err != nil {
+		t.Fatalf("packed entry: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestPackMigratesCorpus: every per-file entry lands in segments with
+// identical payload bytes, and the per-file originals disappear.
+func TestPackMigratesCorpus(t *testing.T) {
+	dir := t.TempDir()
 	var keys []Key
+	paths := map[Key]string{}
 	for i := 1; i <= 6; i++ {
 		key := Key{Hash: "0123456789abcdef", Seed: int64(i)}
-		if err := fs.Put(key, testResult(key.Seed)); err != nil {
-			t.Fatal(err)
-		}
+		paths[key] = writeLegacy(t, dir, key)
 		keys = append(keys, key)
 	}
 	// Snapshot the canonical bytes before migrating.
 	want := map[Key][]byte{}
 	for _, key := range keys {
-		data, _, err := fs.GetObject(key)
+		data, err := os.ReadFile(paths[key])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,17 +85,17 @@ func TestPackMigratesCorpus(t *testing.T) {
 	if rep.Segments < 1 {
 		t.Fatalf("pack report %+v: no segments", rep)
 	}
-	if DetectLayout(dir) != LayoutPacked {
-		t.Fatal("packed directory not detected as packed")
-	}
 	// Per-file originals are gone (shard dirs removed too).
 	for _, key := range keys {
-		if _, err := os.Stat(fs.path(key)); !os.IsNotExist(err) {
+		if _, err := os.Stat(paths[key]); !os.IsNotExist(err) {
 			t.Fatalf("per-file entry %s survived the migration (err=%v)", key, err)
 		}
 	}
+	if _, err := os.Stat(filepath.Dir(paths[keys[0]])); !os.IsNotExist(err) {
+		t.Fatalf("empty shard directory survived the migration (err=%v)", err)
+	}
 	// The packed corpus serves byte-identical envelopes.
-	p, err := OpenDir(dir)
+	p, err := OpenPacked(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +116,8 @@ func TestPackMigratesCorpus(t *testing.T) {
 // without duplicating records.
 func TestPackIsIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	key := Key{Hash: "0123456789abcdef", Seed: 1}
-	if err := fs.Put(key, testResult(1)); err != nil {
-		t.Fatal(err)
-	}
+	writeLegacy(t, dir, key)
 	if _, err := Pack(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +131,7 @@ func TestPackIsIdempotent(t *testing.T) {
 	}
 	// Recreate the per-file duplicate (the crash-mid-pack shape: bytes
 	// already in a segment, file not yet removed) and re-run.
-	if err := fs.Put(key, testResult(1)); err != nil {
-		t.Fatal(err)
-	}
+	path := writeLegacy(t, dir, key)
 	rep, err = Pack(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +139,10 @@ func TestPackIsIdempotent(t *testing.T) {
 	if rep.AlreadyPacked != 1 || rep.Packed != 0 {
 		t.Fatalf("re-pack report %+v: want 1 already-packed", rep)
 	}
-	if _, err := os.Stat(fs.path(key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("duplicate per-file entry survived")
 	}
-	p, err := OpenDir(dir)
+	p, err := OpenPacked(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,18 +160,17 @@ func TestPackIsIdempotent(t *testing.T) {
 // verification is reported and left for gc, never migrated.
 func TestPackLeavesCorruptEntriesInPlace(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := Open(dir)
+	good := Key{Hash: "0123456789abcdef", Seed: 1}
+	bad := Key{Hash: "0123456789abcdef", Seed: 2}
+	writeLegacy(t, dir, good)
+	badPath := writeLegacy(t, dir, bad)
+	data, err := os.ReadFile(badPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := Key{Hash: "0123456789abcdef", Seed: 1}
-	bad := Key{Hash: "0123456789abcdef", Seed: 2}
-	for _, key := range []Key{good, bad} {
-		if err := fs.Put(key, testResult(key.Seed)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(badPath, flipResultByte(t, data), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	corrupt(t, fs, bad)
 
 	rep, err := Pack(dir)
 	if err != nil {
@@ -146,10 +179,10 @@ func TestPackLeavesCorruptEntriesInPlace(t *testing.T) {
 	if rep.Packed != 1 || rep.Skipped != 1 || len(rep.Problems) != 1 {
 		t.Fatalf("pack report %+v: want 1 packed, 1 skipped with its problem", rep)
 	}
-	if _, err := os.Stat(fs.path(bad)); err != nil {
+	if _, err := os.Stat(badPath); err != nil {
 		t.Fatalf("corrupt entry removed instead of left in place: %v", err)
 	}
-	p, err := OpenDir(dir)
+	p, err := OpenPacked(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +193,7 @@ func TestPackLeavesCorruptEntriesInPlace(t *testing.T) {
 	if _, ok, _ := p.Get(bad); ok {
 		t.Fatal("corrupt entry migrated")
 	}
-	// gc on the packed layout reports the leftover as skipped-foreign
-	// only once its shard path is foreign — it still parses as an entry
-	// name, so the packed gc counts the whole file foreign.
+	// gc reports the leftover as a foreign file and leaves it alone.
 	gcRep, err := p.GC()
 	if err != nil {
 		t.Fatal(err)
@@ -175,25 +206,20 @@ func TestPackLeavesCorruptEntriesInPlace(t *testing.T) {
 	}
 }
 
-// TestStoreBenchSmoke: the bench harness end to end at toy scale, both
-// layouts, sane numbers.
+// TestStoreBenchSmoke: the bench harness end to end at toy scale, sane
+// numbers.
 func TestStoreBenchSmoke(t *testing.T) {
 	rep, err := RunBench(BenchOptions{Entries: 64, Reads: 32, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Layouts) != 2 {
-		t.Fatalf("bench covered %d layouts, want 2", len(rep.Layouts))
+	if rep.Entries != 64 || rep.Reads != 32 {
+		t.Fatalf("bench sized wrong: %+v", rep)
 	}
-	for _, lr := range rep.Layouts {
-		if lr.Entries != 64 || lr.Reads != 32 {
-			t.Fatalf("layout %s sized wrong: %+v", lr.Layout, lr)
-		}
-		if lr.WriteNSPerOp <= 0 || lr.ReadNSPerOp <= 0 || lr.GCNS <= 0 || lr.Bytes <= 0 {
-			t.Fatalf("layout %s has non-positive measurements: %+v", lr.Layout, lr)
-		}
-		if lr.ReadP95NS < lr.ReadNSPerOp/10 {
-			t.Fatalf("layout %s p95 %.0f implausibly below mean %.0f", lr.Layout, lr.ReadP95NS, lr.ReadNSPerOp)
-		}
+	if rep.WriteNSPerOp <= 0 || rep.ReadNSPerOp <= 0 || rep.GCNS <= 0 || rep.Bytes <= 0 {
+		t.Fatalf("bench has non-positive measurements: %+v", rep)
+	}
+	if rep.ReadP95NS < rep.ReadNSPerOp/10 {
+		t.Fatalf("p95 %.0f implausibly below mean %.0f", rep.ReadP95NS, rep.ReadNSPerOp)
 	}
 }

@@ -3,24 +3,39 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ichannels/internal/scenario"
 )
 
-// SegmentsDirName is the subdirectory whose presence marks a store
-// directory as packed-layout (DetectLayout keys on it).
+// SegmentsDirName is the subdirectory of a store directory that holds
+// the segment files and their index sidecars.
 const SegmentsDirName = "segments"
+
+// tmpPrefix marks in-progress sidecar writes; gc removes leftovers from
+// killed processes once they are older than gcTmpAge.
+const tmpPrefix = ".tmp-"
+
+// gcTmpAge is how old a temporary file must be before gc treats it as
+// abandoned. A live writer holds its temp file for milliseconds; an
+// hour-old one belongs to a killed process.
+const gcTmpAge = time.Hour
 
 // DefaultMaxSegmentBytes is the roll threshold: the active segment
 // seals and a new one starts once it grows past this.
 const DefaultMaxSegmentBytes int64 = 8 << 20
+
+// refreshEvery rate-limits the directory rescans a Get miss triggers to
+// pick up what other writers appended since this store looked.
+const refreshEvery = time.Second
 
 // autoCompactDenominator triggers background compaction when the dead
 // fraction discovered at open reaches 1/autoCompactDenominator of the
@@ -50,31 +65,28 @@ type packedRef struct {
 	ts     int64 // unix-second append time, the MaxAge retention clock
 }
 
-// segmentState is one on-disk segment the store has open.
+// segmentState is one on-disk segment the store has open. size is the
+// byte count this store indexed, which for another writer's live
+// segment may trail the file on disk.
 type segmentState struct {
-	id     int
-	path   string
-	f      *os.File
-	size   int64
-	sealed bool
-	// entries accumulates the sidecar rows for an unsealed (active)
-	// segment.
+	id   int
+	path string
+	f    *os.File
+	size int64
+	// entries accumulates the sidecar rows for the active segment.
 	entries []segmentIndexEntry
 }
 
-// Packed is the segment-corpus Store: results are appended as framed
+// Packed is the result store: results are appended as framed
 // envelopes to an active segment under dir/segments, located through an
 // in-memory index loaded from per-segment sidecars — or rebuilt by
 // scanning any segment whose sidecar is missing or stale, the
-// crash-safe path. It implements the same Store interface as FS plus
-// the same maintenance surface (List, Verify, GC/GCWith), so the
-// engine, sweep resume, and serve use it with no layout-specific code.
+// crash-safe path. Besides the Store contract it carries the
+// maintenance surface (List, Verify, GC/GCWith) the `store` verbs and
+// serve retention drive.
 //
-// Semantics that differ from FS on purpose:
-//
-//   - Put of an existing key is a true no-op (the per-file layout
-//     rewrites the identical bytes; appending them again would only
-//     create dead bytes in the log).
+//   - Put of an existing key is a no-op: by determinism the bytes would
+//     be identical, and the log should not accumulate duplicates.
 //   - A Get that finds a damaged record drops it from the index
 //     (self-healing): the caller sees the usual error-degrades-to-miss
 //     contract, and the next Put of that key re-materializes it —
@@ -83,10 +95,17 @@ type segmentState struct {
 //     survivors copied verbatim into fresh segments, old files deleted
 //     — so reclaimed bytes actually return to the filesystem.
 //
-// One process should write a packed directory at a time (the active
-// segment is an append cursor); racing writers are detected at segment
-// creation (O_EXCL) and pick distinct ids, but the per-file layout
-// remains the choice for heavily multi-writer corpora.
+// Many processes may write one directory at once. Each writer appends
+// only to a segment it created (O_EXCL picks distinct ids) and holds an
+// exclusive advisory lock on it from creation until it seals it. An
+// opener that finds an unsealed segment it cannot lock indexes that
+// live writer's complete records in memory and never truncates the
+// file or writes its sidecar; gc rewrites or deletes only segments it
+// holds the lock on and indexed in full. What other writers add after
+// open is picked up by a rescan of the directory, which every gc and
+// (at most once per refreshEvery) a Get miss runs. Where the platform
+// has no lock (see lock_other.go) a directory takes one writer at a
+// time.
 type Packed struct {
 	dir    string
 	segDir string
@@ -102,25 +121,35 @@ type Packed struct {
 	// deadBytes tracks on-disk bytes no index entry covers (corrupt
 	// records, superseded duplicates) — compaction's trigger.
 	deadBytes int64
+	// lastRefresh is when the directory was last rescanned for other
+	// writers' segments (unix nanoseconds).
+	lastRefresh atomic.Int64
 
 	bg sync.WaitGroup
 }
 
-// OpenPacked creates (if needed) and opens a packed-layout store rooted
-// at dir with default options.
+// OpenPacked creates (if needed) and opens the store rooted at dir with
+// default options. Every directory surface (-store, -cache, serve
+// -store, the store verbs) opens through it.
 func OpenPacked(dir string) (*Packed, error) {
 	return OpenPackedWith(dir, PackedOptions{})
 }
 
 // OpenPackedWith is OpenPacked with explicit options. Opening loads
 // every segment's sidecar; a segment whose sidecar is missing or stale
-// is rescanned (truncating any torn tail a killed writer left) and
-// resealed, so the full corpus serves after any crash.
+// is rescanned, and resealed (truncating any torn tail) unless a live
+// writer still holds it, so the full corpus serves after any crash. A
+// directory holding per-file entries and no segments directory is a
+// corpus `store pack` has not migrated yet; opening it is an error
+// rather than a silently empty store.
 func OpenPackedWith(dir string, opts PackedOptions) (*Packed, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
 	segDir := filepath.Join(dir, SegmentsDirName)
+	if _, err := os.Stat(segDir); os.IsNotExist(err) && hasLegacyEntries(dir) {
+		return nil, fmt.Errorf("store: %s is a per-file corpus; migrate it with `store pack %s` first", dir, dir)
+	}
 	if err := os.MkdirAll(segDir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -135,7 +164,10 @@ func OpenPackedWith(dir string, opts PackedOptions) (*Packed, error) {
 		segs:    map[int]*segmentState{},
 		nextSeg: 1,
 	}
-	if err := p.load(); err != nil {
+	p.mu.Lock()
+	err := p.refreshLocked()
+	p.mu.Unlock()
+	if err != nil {
 		p.Close()
 		return nil, err
 	}
@@ -155,9 +187,15 @@ func OpenPackedWith(dir string, opts PackedOptions) (*Packed, error) {
 	return p, nil
 }
 
-// load reads every segment's index (rescanning and resealing as needed)
-// and builds the in-memory index.
-func (p *Packed) load() error {
+// refreshLocked brings the in-memory index up to date with the
+// segments directory: it loads every segment this store has not indexed
+// (all of them at open; later, those other writers created) and the
+// records appended to segments that were still live when it loaded
+// them. A segment file that replaced one this store holds under the
+// same id (compacted away by another store, its id reused) is loaded
+// afresh. Open runs it once; gc and Get misses run it again.
+func (p *Packed) refreshLocked() error {
+	p.lastRefresh.Store(time.Now().UnixNano())
 	des, err := os.ReadDir(p.segDir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -173,14 +211,73 @@ func (p *Packed) load() error {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		if err := p.loadSegment(id); err != nil {
-			return err
-		}
 		if id >= p.nextSeg {
 			p.nextSeg = id + 1
 		}
+		if st := p.segs[id]; st != nil {
+			if st == p.active {
+				continue
+			}
+			onDisk, err1 := os.Stat(st.path)
+			held, err2 := st.f.Stat()
+			if err1 != nil || err2 != nil {
+				continue // gone since ReadDir: nothing new to index
+			}
+			if os.SameFile(held, onDisk) {
+				if onDisk.Size() > st.size {
+					if err := p.growSegmentLocked(st); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			p.forgetSegmentLocked(st)
+		}
+		if err := p.loadSegment(id); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// refreshIfDue runs refreshLocked unless one ran within refreshEvery,
+// and reports whether it ran. A failed rescan is only a missed chance
+// to find other writers' records; the next one retries.
+func (p *Packed) refreshIfDue() bool {
+	last := p.lastRefresh.Load()
+	now := time.Now().UnixNano()
+	if now-last < int64(refreshEvery) || !p.lastRefresh.CompareAndSwap(last, now) {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.refreshLocked() == nil
+}
+
+// growSegmentLocked indexes the records another writer appended to st
+// since this store indexed it: its size on disk grew, through more
+// appends or the writer's seal.
+func (p *Packed) growSegmentLocked(st *segmentState) error {
+	idx, size, err := p.indexSegment(st.id, st.f)
+	if err != nil || idx == nil {
+		return err
+	}
+	p.addEntriesLocked(st.id, idx.Entries, st.size)
+	st.size = max(st.size, size)
+	return nil
+}
+
+// forgetSegmentLocked drops a segment whose file was replaced on disk,
+// with every index entry that points into it. The records it held were
+// relocated by whoever removed it, and a rescan finds them there.
+func (p *Packed) forgetSegmentLocked(st *segmentState) {
+	for key, ref := range p.index {
+		if ref.seg == st.id {
+			delete(p.index, key)
+		}
+	}
+	st.f.Close()
+	delete(p.segs, st.id)
 }
 
 func (p *Packed) segPath(id int) string {
@@ -191,53 +288,34 @@ func (p *Packed) idxPath(id int) string {
 	return filepath.Join(p.segDir, fmt.Sprintf("%08d.idx", id))
 }
 
-// loadSegment opens one segment — through its sidecar when valid, by
-// rescanning (and resealing) otherwise.
+// loadSegment opens one segment and indexes its records.
 func (p *Packed) loadSegment(id int) error {
 	path := p.segPath(id)
-	info, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	size := info.Size()
-	idx, ok := readSidecar(p.idxPath(id), size)
-	if !ok {
-		// Missing or stale sidecar: rebuild it from the segment bytes.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		sc, err := ScanSegment(data)
-		if err != nil {
-			// Not a segment at all; leave the file for gc to report.
-			return nil
-		}
-		if sc.ValidBytes < size {
-			// Torn tail from a killed writer: truncate it away so the
-			// resealed sidecar covers exactly what is on disk.
-			if err := os.Truncate(path, sc.ValidBytes); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			size = sc.ValidBytes
-		}
-		p.deadBytes += sc.CorruptBytes
-		ts := info.ModTime().Unix()
-		idx = &segmentIndex{Version: segIndexVersion, CoveredBytes: size}
-		for _, e := range sc.Entries {
-			idx.Entries = append(idx.Entries, segmentIndexEntry{
-				Hash: e.Key.Hash, Seed: e.Key.Seed, Off: e.Offset, Len: e.Length, TS: ts,
-			})
-		}
-		if err := writeSidecar(p.idxPath(id), idx); err != nil {
-			return err
-		}
-	}
 	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil // compacted away by another process since ReadDir
+	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	p.segs[id] = &segmentState{id: id, path: path, f: f, size: size, sealed: true}
-	for _, e := range idx.Entries {
+	idx, size, err := p.indexSegment(id, f)
+	if err != nil || idx == nil {
+		// idx is nil for a file that is not a segment (a writer's fresh,
+		// still empty file, or a foreign file for gc to report).
+		f.Close()
+		return err
+	}
+	p.segs[id] = &segmentState{id: id, path: path, f: f, size: size}
+	p.addEntriesLocked(id, idx.Entries, 0)
+	return nil
+}
+
+// addEntriesLocked indexes segment id's entries at offsets from on.
+func (p *Packed) addEntriesLocked(id int, entries []segmentIndexEntry, from int64) {
+	for _, e := range entries {
+		if e.Off < from {
+			continue
+		}
 		key := Key{Hash: e.Hash, Seed: e.Seed}
 		if old, dup := p.index[key]; dup {
 			// Later segments win (a re-put entry supersedes a dropped
@@ -246,14 +324,76 @@ func (p *Packed) loadSegment(id int) error {
 		}
 		p.index[key] = packedRef{seg: id, off: e.Off, length: e.Len, ts: e.TS}
 	}
-	return nil
+}
+
+// indexSegment returns a segment's index and the bytes it covers:
+// through the sidecar when valid, by rescanning otherwise. An unsealed
+// segment whose lock is free was abandoned by a killed writer: its torn
+// tail is truncated and it is resealed. One whose lock is held belongs
+// to a live writer: its complete records are indexed in memory only,
+// and the file is left exactly as it is.
+func (p *Packed) indexSegment(id int, f *os.File) (*segmentIndex, int64, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: %w", err)
+	}
+	if idx, ok := readSidecar(p.idxPath(id), info.Size()); ok {
+		return idx, info.Size(), nil
+	}
+	abandoned, err := tryLockSegment(f)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: lock %s: %w", p.segPath(id), err)
+	}
+	if abandoned {
+		defer unlockSegment(f)
+		// Nobody appends to a segment whose lock is free, so its size is
+		// final now — and its writer may have sealed it since the stat.
+		if info, err = f.Stat(); err != nil {
+			return nil, 0, fmt.Errorf("store: %w", err)
+		}
+		if idx, ok := readSidecar(p.idxPath(id), info.Size()); ok {
+			return idx, info.Size(), nil
+		}
+	}
+	size := info.Size()
+	// A short read is a file another opener truncated since the stat:
+	// scan what is there.
+	data := make([]byte, size)
+	n, err := f.ReadAt(data, 0)
+	if err != nil && err != io.EOF {
+		return nil, 0, fmt.Errorf("store: %w", err)
+	}
+	sc, err := ScanSegment(data[:n])
+	if err != nil {
+		return nil, 0, nil
+	}
+	p.deadBytes += sc.CorruptBytes
+	idx := &segmentIndex{Version: segIndexVersion, CoveredBytes: sc.ValidBytes}
+	for _, e := range sc.Entries {
+		idx.Entries = append(idx.Entries, segmentIndexEntry{
+			Hash: e.Key.Hash, Seed: e.Key.Seed, Off: e.Offset, Len: e.Length, TS: info.ModTime().Unix(),
+		})
+	}
+	if !abandoned {
+		// A live writer's segment: a short tail is its record in
+		// flight, and the sidecar is its to write when it seals.
+		return idx, sc.ValidBytes, nil
+	}
+	if sc.ValidBytes < size {
+		// Torn tail from a killed writer: truncate it away so the
+		// resealed sidecar covers exactly what is on disk.
+		if err := os.Truncate(p.segPath(id), sc.ValidBytes); err != nil {
+			return nil, 0, fmt.Errorf("store: %w", err)
+		}
+	}
+	if err := writeSidecar(p.idxPath(id), idx); err != nil {
+		return nil, 0, err
+	}
+	return idx, sc.ValidBytes, nil
 }
 
 // Dir returns the store's root directory.
 func (p *Packed) Dir() string { return p.dir }
-
-// Layout identifies the on-disk format for DirStore consumers.
-func (p *Packed) Layout() Layout { return LayoutPacked }
 
 // WaitMaintenance blocks until any background compaction scheduled at
 // open has finished — the deterministic hook tests and Close use.
@@ -284,19 +424,21 @@ func (p *Packed) Close() error {
 	return firstErr
 }
 
-// sealLocked writes st's sidecar and marks it sealed.
+// sealLocked writes the active segment's sidecar and releases its lock:
+// from here on the segment is immutable, and any opener or gc may take
+// it.
 func (p *Packed) sealLocked(st *segmentState) error {
 	idx := &segmentIndex{Version: segIndexVersion, CoveredBytes: st.size, Entries: st.entries}
 	if err := writeSidecar(p.idxPath(st.id), idx); err != nil {
 		return err
 	}
-	st.sealed = true
-	return nil
+	return unlockSegment(st.f)
 }
 
-// newActiveLocked creates the next segment file for appends. O_EXCL
-// detects another writer racing on the same id; the loser moves on to
-// the next.
+// newActiveLocked creates the next segment file for appends and locks
+// it before it holds a byte, so no opener mistakes it for abandoned.
+// O_EXCL detects another writer racing on the same id; the loser moves
+// on to the next.
 func (p *Packed) newActiveLocked() error {
 	for {
 		id := p.nextSeg
@@ -308,7 +450,11 @@ func (p *Packed) newActiveLocked() error {
 		if err != nil {
 			return fmt.Errorf("store: new segment: %w", err)
 		}
-		if _, err := f.WriteString(segMagic); err != nil {
+		err = lockSegment(f)
+		if err == nil {
+			_, err = f.WriteString(segMagic)
+		}
+		if err != nil {
 			f.Close()
 			os.Remove(p.segPath(id))
 			return fmt.Errorf("store: new segment: %w", err)
@@ -338,6 +484,11 @@ func (p *Packed) getPayload(key Key) ([]byte, packedRef, bool, error) {
 		}
 		p.mu.RUnlock()
 		if !ok {
+			// Another writer may have stored the key since this store
+			// last looked.
+			if attempt == 0 && p.refreshIfDue() {
+				continue
+			}
 			return nil, packedRef{}, false, nil
 		}
 		if attempt > 0 && ref == lastRef {
@@ -477,11 +628,18 @@ func (p *Packed) appendLocked(key Key, frame []byte, ts int64) error {
 	return nil
 }
 
+// Entry describes one stored result for listings.
+type Entry struct {
+	Key  Key   `json:"key"`
+	Size int64 `json:"size"`
+}
+
 // ListObjects implements Backend.
 func (p *Packed) ListObjects() ([]Entry, error) { return p.List() }
 
-// List returns every indexed entry sorted by key, sizes in payload
-// bytes — the same view FS.List gives of the per-file layout.
+// List returns every indexed entry sorted by key, sizes in envelope
+// bytes. The slice is non-nil even when empty, so `store ls -json`
+// emits [] rather than null.
 func (p *Packed) List() ([]Entry, error) {
 	p.mu.RLock()
 	out := make([]Entry, 0, len(p.index))
@@ -489,12 +647,7 @@ func (p *Packed) List() ([]Entry, error) {
 		out = append(out, Entry{Key: key, Size: ref.length - 4})
 	}
 	p.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Hash != out[j].Key.Hash {
-			return out[i].Key.Hash < out[j].Key.Hash
-		}
-		return out[i].Key.Seed < out[j].Key.Seed
-	})
+	sortEntries(out)
 	return out, nil
 }
 
@@ -513,10 +666,27 @@ func (p *Packed) sortedKeysLocked() []Key {
 	return keys
 }
 
-// Verify reads and checks every indexed entry and reports files the
-// packed layout does not own (temporaries, foreign files, un-migrated
-// per-file entries) as stray. Report-only: unlike Get it never drops
-// damaged entries.
+// Problem is one entry (or stray file) Verify or Pack found unreadable.
+type Problem struct {
+	Path string `json:"path"`
+	Err  string `json:"error"`
+}
+
+// VerifyReport summarizes an integrity pass over the whole store.
+type VerifyReport struct {
+	Entries  int       `json:"entries"`
+	Bytes    int64     `json:"bytes"`
+	Problems []Problem `json:"problems,omitempty"`
+	// Stray counts files that are not the store's (temporaries,
+	// foreign files, per-file entries `store pack` has not migrated);
+	// they are reported, not treated as damage.
+	Stray int `json:"stray"`
+}
+
+// Verify reads and checks every indexed entry — envelope version, key
+// match, checksum, decodability — and counts the files the store does
+// not own as stray. Report-only: unlike Get it never drops damaged
+// entries.
 func (p *Packed) Verify() (*VerifyReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -551,7 +721,7 @@ func (p *Packed) Verify() (*VerifyReport, error) {
 	return rep, nil
 }
 
-// foreignFilesLocked lists files the layout does not own — anything
+// foreignFilesLocked lists files the store does not own — anything
 // under the root outside segments/, and anything inside segments/ that
 // is not a segment, sidecar, or temporary — plus orphan sidecars (an
 // .idx whose .seg is gone), which gc removes as stray.
@@ -575,7 +745,9 @@ func (p *Packed) foreignFilesLocked() (foreign, orphanIdx []string, err error) {
 		if strings.HasSuffix(name, ".idx") {
 			var id int
 			fmt.Sscanf(name, "%08d.idx", &id)
-			if _, ok := p.segs[id]; !ok {
+			// Judge by the disk, not this store's index: another writer
+			// may have sealed a segment this store never loaded.
+			if _, err := os.Stat(p.segPath(id)); os.IsNotExist(err) {
 				orphanIdx = append(orphanIdx, path)
 			}
 		}
@@ -607,23 +779,62 @@ func (p *Packed) tmpFilesLocked(cutoff time.Time) ([]string, error) {
 	return out, nil
 }
 
+// GCOptions bounds what GCWith retains beyond the always-removed
+// corruption and stray temporaries — the retention knobs CI scratch
+// corpora need (results are deterministic, so an evicted entry costs a
+// recompute, never data).
+type GCOptions struct {
+	// MaxAge, when positive, removes intact entries appended longer
+	// than MaxAge ago.
+	MaxAge time.Duration
+	// MaxBytes, when positive, evicts intact entries oldest-first
+	// until the surviving corpus is at most this many bytes.
+	MaxBytes int64
+}
+
+// GCReport summarizes a garbage-collection pass.
+type GCReport struct {
+	// RemovedCorrupt counts entries dropped because they failed the
+	// integrity check; RemovedStray abandoned temporaries and orphan
+	// sidecars.
+	RemovedCorrupt int   `json:"removed_corrupt"`
+	RemovedStray   int   `json:"removed_stray"`
+	ReclaimedBytes int64 `json:"reclaimed_bytes"`
+	// RemovedExpired counts intact entries past GCOptions.MaxAge;
+	// RemovedOverBudget intact entries evicted oldest-first to fit
+	// GCOptions.MaxBytes.
+	RemovedExpired    int `json:"removed_expired,omitempty"`
+	RemovedOverBudget int `json:"removed_over_budget,omitempty"`
+	// Skipped counts files gc recognized as not belonging to the store
+	// and deliberately left alone — reported so an operator pointing gc
+	// at the wrong directory sees the mismatch instead of silence.
+	Skipped int `json:"skipped,omitempty"`
+	// Kept counts the intact entries that survive.
+	Kept int `json:"kept"`
+}
+
 // GC is GCWith with zero options: drop damaged records and abandoned
 // temporaries, then compact — rewrite segments that lost records so the
 // reclaimed bytes return to the filesystem.
 func (p *Packed) GC() (*GCReport, error) { return p.GCWith(GCOptions{}) }
 
-// GCWith is the packed layout's retention + compaction pass. The
-// retention semantics mirror FS.GCWith — corrupt entries always go,
+// GCWith is the retention + compaction pass: corrupt entries always go,
 // then MaxAge and MaxBytes evict intact entries oldest-first by append
-// time — and compaction then rewrites every segment holding dead bytes:
+// time, and compaction rewrites every segment holding dead bytes:
 // survivors are copied verbatim (frames and timestamps preserved) into
-// fresh segments and the old files deleted. Files the layout does not
-// own are counted in Skipped and never touched.
+// fresh segments and the old files deleted. Only segments gc holds the
+// lock on are touched (see lockSegmentsLocked); records in any other
+// segment still count toward MaxBytes but are never evicted. Files the
+// store does not own are counted in Skipped and never touched.
 func (p *Packed) GCWith(opts GCOptions) (*GCReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rep := &GCReport{}
 
+	// Budgets count what every writer has stored so far.
+	if err := p.refreshLocked(); err != nil {
+		return nil, fmt.Errorf("store: gc: %w", err)
+	}
 	// Compaction wants every segment sealed; the active one reopens on
 	// the next Put.
 	if p.active != nil {
@@ -632,27 +843,38 @@ func (p *Packed) GCWith(opts GCOptions) (*GCReport, error) {
 		}
 		p.active = nil
 	}
-
-	diskBefore, err := p.segBytesLocked()
+	owned, err := p.lockSegmentsLocked()
 	if err != nil {
 		return nil, fmt.Errorf("store: gc: %w", err)
+	}
+	defer func() {
+		for id := range owned {
+			unlockSegment(p.segs[id].f)
+		}
+	}()
+	diskBefore := p.segBytesLocked()
+	// evict drops key from the index when its record sits in a segment
+	// this pass may rewrite.
+	evict := func(key Key, counter *int) bool {
+		ref := p.index[key]
+		if !owned[ref.seg] {
+			return false
+		}
+		delete(p.index, key)
+		p.deadBytes += ref.length
+		*counter++
+		return true
 	}
 
 	// Pass 1: damaged records (framing or envelope) always go.
 	for _, key := range p.sortedKeysLocked() {
 		ref := p.index[key]
-		var f *os.File
-		if st := p.segs[ref.seg]; st != nil {
-			f = st.f
-		}
-		payload, err := p.readRecord(f, key, ref)
+		payload, err := p.readRecord(p.segs[ref.seg].f, key, ref)
 		if err == nil {
 			_, err = decodeEnvelope(key, payload)
 		}
 		if err != nil {
-			delete(p.index, key)
-			p.deadBytes += ref.length
-			rep.RemovedCorrupt++
+			evict(key, &rep.RemovedCorrupt)
 		}
 	}
 
@@ -660,10 +882,8 @@ func (p *Packed) GCWith(opts GCOptions) (*GCReport, error) {
 	if opts.MaxAge > 0 {
 		cutoff := p.now().Add(-opts.MaxAge).Unix()
 		for _, key := range p.sortedKeysLocked() {
-			if ref := p.index[key]; ref.ts < cutoff {
-				delete(p.index, key)
-				p.deadBytes += ref.length
-				rep.RemovedExpired++
+			if p.index[key].ts < cutoff {
+				evict(key, &rep.RemovedExpired)
 			}
 		}
 	}
@@ -683,11 +903,10 @@ func (p *Packed) GCWith(opts GCOptions) (*GCReport, error) {
 			if total <= opts.MaxBytes {
 				break
 			}
-			ref := p.index[k]
-			delete(p.index, k)
-			p.deadBytes += ref.length
-			total -= ref.length
-			rep.RemovedOverBudget++
+			length := p.index[k].length
+			if evict(k, &rep.RemovedOverBudget) {
+				total -= length
+			}
 		}
 	}
 
@@ -709,45 +928,65 @@ func (p *Packed) GCWith(opts GCOptions) (*GCReport, error) {
 	}
 	rep.Skipped = len(foreign)
 
-	if err := p.compactLocked(); err != nil {
+	if err := p.compactLocked(owned); err != nil {
 		return nil, err
 	}
 
-	diskAfter, err := p.segBytesLocked()
-	if err != nil {
-		return nil, fmt.Errorf("store: gc: %w", err)
-	}
-	if reclaimed := diskBefore - diskAfter; reclaimed > 0 {
+	if reclaimed := diskBefore - p.segBytesLocked(); reclaimed > 0 {
 		rep.ReclaimedBytes = reclaimed
 	}
 	rep.Kept = len(p.index)
 	return rep, nil
 }
 
-// segBytesLocked sums the on-disk segment file sizes.
-func (p *Packed) segBytesLocked() (int64, error) {
-	var total int64
-	for _, st := range p.segs {
-		info, err := os.Stat(st.path)
+// lockSegmentsLocked takes the lock on every segment gc may rewrite and
+// returns their ids. A segment is left out when another store holds its
+// lock (a live writer's active segment, or one a concurrent gc is
+// rewriting), or when the file at its path is not the one this store
+// indexed in full — grown by a writer that was live at open, or
+// compacted away and its id reused. Rewriting such a segment from this
+// store's partial view would delete records it never saw.
+func (p *Packed) lockSegmentsLocked() (map[int]bool, error) {
+	owned := map[int]bool{}
+	for id, st := range p.segs {
+		ok, err := tryLockSegment(st.f)
 		if err != nil {
-			if os.IsNotExist(err) {
-				continue
+			for id := range owned {
+				unlockSegment(p.segs[id].f)
 			}
-			return 0, err
+			return nil, err
 		}
-		total += info.Size()
+		if !ok {
+			continue
+		}
+		held, err1 := st.f.Stat()
+		onDisk, err2 := os.Stat(st.path)
+		if err1 != nil || err2 != nil || !os.SameFile(held, onDisk) || onDisk.Size() != st.size {
+			unlockSegment(st.f)
+			continue
+		}
+		owned[id] = true
 	}
-	return total, nil
+	return owned, nil
 }
 
-// compactLocked rewrites every sealed segment whose on-disk bytes
-// exceed its live records: survivors are copied (frame bytes and
-// timestamps verbatim, offset order for sequential reads) into a fresh
-// active segment, then the old segment and its sidecar are deleted.
-// Relocation targets get ids above every pre-existing segment, so the
-// snapshot iteration never revisits them. Callers must have sealed the
-// active segment first.
-func (p *Packed) compactLocked() error {
+// segBytesLocked sums the segment bytes this store has indexed.
+func (p *Packed) segBytesLocked() int64 {
+	var total int64
+	for _, st := range p.segs {
+		total += st.size
+	}
+	return total
+}
+
+// compactLocked rewrites every owned segment whose bytes exceed its
+// live records: survivors are copied (frame bytes and timestamps
+// verbatim, offset order for sequential reads) into a fresh active
+// segment, then the old segment and its sidecar are deleted and it
+// leaves owned. Relocation targets get ids above every pre-existing
+// segment, so the snapshot iteration never revisits them. Callers must
+// have sealed the active segment first.
+func (p *Packed) compactLocked(owned map[int]bool) error {
 	bySeg := map[int][]Key{}
 	for _, key := range p.sortedKeysLocked() {
 		ref := p.index[key]
@@ -759,7 +998,7 @@ func (p *Packed) compactLocked() error {
 		})
 	}
 	var ids []int
-	for id := range p.segs {
+	for id := range owned {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
@@ -782,14 +1021,17 @@ func (p *Packed) compactLocked() error {
 				return err
 			}
 		}
-		st.f.Close()
-		if err := os.Remove(st.path); err != nil && !os.IsNotExist(err) {
+		// Every survivor now lives in the new segment, so the old one
+		// leaves this store whether or not its file goes away.
+		err := retireSegment(st)
+		delete(p.segs, id)
+		delete(owned, id)
+		if err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("store: gc: %w", err)
 		}
 		if err := os.Remove(p.idxPath(id)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("store: gc: %w", err)
 		}
-		delete(p.segs, id)
 	}
 	if p.active != nil {
 		if err := p.sealLocked(p.active); err != nil {

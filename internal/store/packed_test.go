@@ -292,7 +292,7 @@ func TestPackedGCCompacts(t *testing.T) {
 	}
 	f.Close()
 
-	before, _ := p.segBytesLocked()
+	before := p.segBytesLocked()
 	rep, err := p.GC()
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestPackedGCCompacts(t *testing.T) {
 	if rep.ReclaimedBytes <= 0 {
 		t.Fatalf("gc report %+v: compaction reclaimed nothing", rep)
 	}
-	after, _ := p.segBytesLocked()
+	after := p.segBytesLocked()
 	if after >= before {
 		t.Fatalf("disk did not shrink: %d -> %d bytes", before, after)
 	}
@@ -329,8 +329,7 @@ func TestPackedGCCompacts(t *testing.T) {
 	}
 }
 
-// TestPackedGCMaxAge mirrors the FS retention semantics on the packed
-// layout's append-timestamp clock.
+// TestPackedGCMaxAge: age retention runs on the append-timestamp clock.
 func TestPackedGCMaxAge(t *testing.T) {
 	p := openPackedTest(t)
 	base := time.Now()
@@ -425,26 +424,28 @@ func TestPackedGCSkipsForeignFiles(t *testing.T) {
 	}
 }
 
-// TestFSGCSkipsForeignFiles: the same contract on the per-file layout.
+// TestFSGCSkipsForeignFiles: per-file entries a packed directory still
+// holds (left by an interrupted `store pack`, or ones it skipped) are
+// foreign to gc — counted, never evicted or removed, and still there
+// for pack to migrate.
 func TestFSGCSkipsForeignFiles(t *testing.T) {
-	fs := openTest(t)
-	key := Key{Hash: "0123456789abcdef", Seed: 1}
-	if err := fs.Put(key, testResult(1)); err != nil {
-		t.Fatal(err)
-	}
-	foreign := filepath.Join(fs.Dir(), "README.txt")
-	if err := os.WriteFile(foreign, []byte("not an envelope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := fs.GC()
+	dir := t.TempDir()
+	p, err := OpenPacked(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Skipped != 1 || rep.Kept != 1 {
-		t.Fatalf("gc report %+v: want Skipped=1 Kept=1", rep)
+	defer p.Close()
+	legacy := writeLegacy(t, dir, Key{Hash: "fedcba9876543210", Seed: 1})
+	fillPacked(t, p, 1)
+	rep, err := p.GCWith(GCOptions{MaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Fatalf("gc touched the foreign file: %v", err)
+	if rep.Skipped != 1 || rep.RemovedOverBudget != 1 || rep.Kept != 0 {
+		t.Fatalf("gc report %+v: want Skipped=1, the packed entry evicted", rep)
+	}
+	if _, err := os.Stat(legacy); err != nil {
+		t.Fatalf("gc touched the per-file entry: %v", err)
 	}
 }
 
@@ -542,38 +543,34 @@ func TestPackedVerify(t *testing.T) {
 	}
 }
 
-// TestDetectLayoutAndOpenDir: layout detection drives OpenDir to the
-// right implementation, and the per-file default holds for fresh
-// directories.
-func TestDetectLayoutAndOpenDir(t *testing.T) {
-	dir := t.TempDir()
-	if got := DetectLayout(dir); got != LayoutPerFile {
-		t.Fatalf("fresh dir layout = %q, want perfile", got)
-	}
-	st, err := OpenDir(dir)
+// TestFreshDirOpensPacked: every directory opener creates the segment
+// layout, and a put writes nothing outside it.
+func TestFreshDirOpensPacked(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "new")
+	st, err := OpenAuto(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Layout() != LayoutPerFile {
-		t.Fatalf("OpenDir on fresh dir = %q", st.Layout())
+	if err := st.Put(Key{Hash: "0123456789abcdef", Seed: 1}, testResult(1)); err != nil {
+		t.Fatal(err)
 	}
-	st.Close()
-
-	p, err := OpenPacked(dir)
+	if err := CloseStore(st); err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			files = append(files, rel)
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
-	if got := DetectLayout(dir); got != LayoutPacked {
-		t.Fatalf("layout after packed open = %q, want packed", got)
-	}
-	st, err = OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.Layout() != LayoutPacked {
-		t.Fatalf("OpenDir on packed dir = %q", st.Layout())
+	want := []string{filepath.Join(SegmentsDirName, "00000001.idx"), filepath.Join(SegmentsDirName, "00000001.seg")}
+	if strings.Join(files, ",") != strings.Join(want, ",") {
+		t.Fatalf("fresh store holds %v, want %v", files, want)
 	}
 }
 

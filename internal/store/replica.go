@@ -12,7 +12,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -54,19 +53,12 @@ type flushItem struct {
 }
 
 // OpenReplica opens (or creates) the local cache at cacheDir and
-// layers it over remote. A new cache directory is created in the
-// packed layout; an existing directory keeps whatever layout it holds.
+// layers it over remote.
 func OpenReplica(cacheDir string, remote Backend, opts ReplicaOptions) (*ReplicaStore, error) {
 	if remote == nil {
 		return nil, fmt.Errorf("store: replica %s: nil remote backend", cacheDir)
 	}
-	var local DirStore
-	var err error
-	if _, serr := os.Stat(cacheDir); serr == nil {
-		local, err = OpenDir(cacheDir)
-	} else {
-		local, err = OpenPacked(cacheDir)
-	}
+	local, err := OpenPacked(cacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +106,7 @@ func (r *ReplicaStore) GetContext(ctx context.Context, key Key) (*scenario.Resul
 		r.count(func(s *ReplicaStats) { s.LocalHits++ })
 		return res, true, nil
 	}
-	// Local miss or locally damaged entry (the packed layout self-heals
+	// Local miss or locally damaged entry (the local store self-heals
 	// damaged refs): consult the remote.
 	data, ok, err := backendGet(ctx, r.remote, key)
 	if err != nil {
@@ -218,8 +210,7 @@ func (r *ReplicaStore) ListObjects() ([]Entry, error) {
 	return mergeEntries(local, remote), nil
 }
 
-// sortEntries orders a listing the way both layouts do: by hash, then
-// seed.
+// sortEntries orders a listing by hash, then seed.
 func sortEntries(out []Entry) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Key.Hash != out[j].Key.Hash {

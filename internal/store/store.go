@@ -5,14 +5,21 @@
 // so the store needs no invalidation: an entry, once written, is valid
 // forever, and any writer racing on the same key writes the same bytes.
 //
-// The filesystem implementation (FS) wraps every result in a versioned
-// envelope carrying a checksum of the result's canonical JSON encoding;
-// reads verify the checksum and the key before returning anything, so a
-// truncated or bit-flipped file surfaces as an error instead of a wrong
-// result. Writes go to a temporary file in the destination directory
-// and are renamed into place, so a killed process never leaves a
-// half-written entry under a valid name — the property sweep resume
-// relies on.
+// A store directory has one layout (Packed): every result is wrapped in
+// a versioned envelope carrying a checksum of the result's canonical
+// JSON encoding, and envelopes are appended to segment files under
+// dir/segments, each sealed with an index sidecar. Reads verify the
+// checksum and the key before returning anything, so a torn or
+// bit-flipped record surfaces as an error instead of a wrong result,
+// and an open rebuilds the index of any segment a killed process left
+// unsealed — the property sweep resume relies on. Many processes may
+// write one directory at once: each appends to a segment of its own and
+// holds an advisory lock on it until it seals it, and no opener or gc
+// touches a segment another process holds (on platforms without the
+// lock, one writer per directory); gc and store misses rescan the
+// directory for what other writers added since. Corpora in the older
+// per-file layout are read only by Pack, which migrates them in place;
+// opening one that has not been packed is an error.
 //
 // The engine (StreamScenarios), the sweep runner, and the HTTP serve
 // layer all consult a Store before computing and persist after, turning

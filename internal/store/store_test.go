@@ -23,26 +23,17 @@ func testResult(seed int64) *scenario.Result {
 	}
 }
 
-func openTest(t *testing.T) *FS {
-	t.Helper()
-	fs, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fs
-}
-
 func TestPutGetRoundTrip(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	key := Key{Hash: "0123456789abcdef", Seed: 7}
-	if _, ok, err := fs.Get(key); ok || err != nil {
+	if _, ok, err := p.Get(key); ok || err != nil {
 		t.Fatalf("empty store: ok=%v err=%v", ok, err)
 	}
 	want := testResult(7)
-	if err := fs.Put(key, want); err != nil {
+	if err := p.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := fs.Get(key)
+	got, ok, err := p.Get(key)
 	if !ok || err != nil {
 		t.Fatalf("get after put: ok=%v err=%v", ok, err)
 	}
@@ -53,21 +44,29 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(wb, gb) {
 		t.Errorf("round-trip bytes differ:\n put: %s\n got: %s", wb, gb)
 	}
-	// Overwriting an existing key (deterministic results make the bytes
-	// identical) must succeed.
-	if err := fs.Put(key, want); err != nil {
+	// Putting an existing key again (deterministic results make the
+	// bytes identical) must succeed.
+	if err := p.Put(key, want); err != nil {
 		t.Errorf("re-put: %v", err)
 	}
 }
 
+// TestPutLeavesNoTemporaries: sealing writes each sidecar through a
+// temporary file and a rename; none may be left behind.
 func TestPutLeavesNoTemporaries(t *testing.T) {
-	fs := openTest(t)
+	p, err := OpenPackedWith(t.TempDir(), PackedOptions{MaxSegmentBytes: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seed := int64(1); seed <= 4; seed++ {
-		if err := fs.Put(Key{Hash: "aabb304958aabbcc", Seed: seed}, testResult(seed)); err != nil {
+		if err := p.Put(Key{Hash: "aabb304958aabbcc", Seed: seed}, testResult(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := filepath.WalkDir(fs.Dir(), func(path string, d os.DirEntry, err error) error {
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir(p.Dir(), func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasPrefix(d.Name(), tmpPrefix) {
 			t.Errorf("leftover temporary %s", path)
 		}
@@ -78,81 +77,75 @@ func TestPutLeavesNoTemporaries(t *testing.T) {
 	}
 }
 
-// corrupt flips one byte inside the stored result payload.
-func corrupt(t *testing.T, fs *FS, key Key) string {
+// corrupt flips one byte inside key's stored result payload, in the
+// segment file on disk.
+func corrupt(t *testing.T, p *Packed, key Key) {
 	t.Helper()
-	path := fs.path(key)
-	data, err := os.ReadFile(path)
+	ref := p.index[key]
+	payload := make([]byte, ref.length-4)
+	f, err := os.OpenFile(p.segPath(ref.seg), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := bytes.Index(data, []byte(`"ber":`))
-	if i < 0 {
-		t.Fatalf("no ber field in %s", data)
-	}
-	data[i+6] ^= 0x01 // '0' ↔ '1': keeps the JSON valid, changes the payload
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	defer f.Close()
+	if _, err := f.ReadAt(payload, ref.off+4); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	if _, err := f.WriteAt(flipResultByte(t, payload), ref.off+4); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestGetRejectsCorruption(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	key := Key{Hash: "0123456789abcdef", Seed: 3}
-	if err := fs.Put(key, testResult(3)); err != nil {
+	if err := p.Put(key, testResult(3)); err != nil {
 		t.Fatal(err)
 	}
-	corrupt(t, fs, key)
-	if _, ok, err := fs.Get(key); ok || err == nil || !strings.Contains(err.Error(), "checksum") {
+	corrupt(t, p, key)
+	if _, ok, err := p.Get(key); ok || err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corrupt entry: ok=%v err=%v, want checksum error", ok, err)
 	}
 }
 
 func TestGetRejectsWrongKeyAndVersion(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	key := Key{Hash: "0123456789abcdef", Seed: 3}
-	if err := fs.Put(key, testResult(3)); err != nil {
-		t.Fatal(err)
-	}
-	// A renamed entry (same bytes, different key) must not be served.
-	moved := Key{Hash: "fedcba9876543210", Seed: 3}
-	if err := os.MkdirAll(filepath.Dir(fs.path(moved)), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(fs.path(key))
+	data, err := EncodeEnvelope(key, testResult(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(fs.path(moved), data, 0o644); err != nil {
+	// A record filed under another key (same bytes) must not be served.
+	moved := Key{Hash: "fedcba9876543210", Seed: 3}
+	if err := p.PutObject(moved, data); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := fs.Get(moved); ok || err == nil || !strings.Contains(err.Error(), "identifies") {
+	if _, ok, err := p.Get(moved); ok || err == nil || !strings.Contains(err.Error(), "identifies") {
 		t.Errorf("renamed entry: ok=%v err=%v, want identity error", ok, err)
 	}
 	// An unknown envelope version must be rejected, not guessed at.
 	bumped := bytes.Replace(data, []byte(`"version":1`), []byte(`"version":99`), 1)
-	if err := os.WriteFile(fs.path(key), bumped, 0o644); err != nil {
+	if err := p.PutObject(key, bumped); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := fs.Get(key); ok || err == nil || !strings.Contains(err.Error(), "version") {
+	if _, ok, err := p.Get(key); ok || err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future version: ok=%v err=%v, want version error", ok, err)
 	}
 }
 
 func TestListSorted(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	keys := []Key{
 		{Hash: "bb00000000000000", Seed: 2},
 		{Hash: "aa00000000000000", Seed: 9},
 		{Hash: "aa00000000000000", Seed: 1},
 	}
 	for _, k := range keys {
-		if err := fs.Put(k, testResult(k.Seed)); err != nil {
+		if err := p.Put(k, testResult(k.Seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	entries, err := fs.List()
+	entries, err := p.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,18 +168,18 @@ func TestListSorted(t *testing.T) {
 }
 
 func TestVerifyAndGC(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	good := Key{Hash: "0123456789abcdef", Seed: 1}
 	bad := Key{Hash: "0123456789abcdef", Seed: 2}
 	for _, k := range []Key{good, bad} {
-		if err := fs.Put(k, testResult(k.Seed)); err != nil {
+		if err := p.Put(k, testResult(k.Seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	corrupt(t, fs, bad)
-	// A leftover temporary from a long-dead writer (backdated past the
-	// GC age margin) and a fresh one from a "live" writer.
-	stray := filepath.Join(fs.Dir(), "01", tmpPrefix+"orphan")
+	corrupt(t, p, bad)
+	// A leftover sidecar temporary from a long-dead writer (backdated
+	// past the gc age margin) and a fresh one from a "live" writer.
+	stray := filepath.Join(p.segDir, tmpPrefix+"orphan")
 	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +187,12 @@ func TestVerifyAndGC(t *testing.T) {
 	if err := os.Chtimes(stray, old, old); err != nil {
 		t.Fatal(err)
 	}
-	live := filepath.Join(fs.Dir(), "01", tmpPrefix+"live")
+	live := filepath.Join(p.segDir, tmpPrefix+"live")
 	if err := os.WriteFile(live, []byte("in flight"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	rep, err := fs.Verify()
+	rep, err := p.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +200,7 @@ func TestVerifyAndGC(t *testing.T) {
 		t.Fatalf("verify report %+v, want 2 entries / 1 problem / 2 stray", rep)
 	}
 
-	gc, err := fs.GC()
+	gc, err := p.GC()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,21 +214,21 @@ func TestVerifyAndGC(t *testing.T) {
 		t.Errorf("live temporary removed by gc: %v", err)
 	}
 	os.Remove(live)
-	if _, ok, err := fs.Get(good); !ok || err != nil {
+	if _, ok, err := p.Get(good); !ok || err != nil {
 		t.Errorf("good entry after gc: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := fs.Get(bad); ok || err != nil {
+	if _, ok, err := p.Get(bad); ok || err != nil {
 		t.Errorf("corrupt entry after gc: ok=%v err=%v (want clean miss)", ok, err)
 	}
-	rep, err = fs.Verify()
+	rep, err = p.Verify()
 	if err != nil || len(rep.Problems) != 0 || rep.Stray != 0 {
 		t.Errorf("post-gc verify %+v err=%v", rep, err)
 	}
 }
 
 func TestWriteOnly(t *testing.T) {
-	fs := openTest(t)
-	wo := WriteOnly(fs)
+	p := openPackedTest(t)
+	wo := WriteOnly(p)
 	key := Key{Hash: "0123456789abcdef", Seed: 5}
 	if err := wo.Put(key, testResult(5)); err != nil {
 		t.Fatal(err)
@@ -243,7 +236,7 @@ func TestWriteOnly(t *testing.T) {
 	if _, ok, err := wo.Get(key); ok || err != nil {
 		t.Errorf("write-only get: ok=%v err=%v, want miss", ok, err)
 	}
-	if _, ok, err := fs.Get(key); !ok || err != nil {
+	if _, ok, err := p.Get(key); !ok || err != nil {
 		t.Errorf("underlying get: ok=%v err=%v, want hit", ok, err)
 	}
 	if WriteOnly(nil) != nil {
@@ -272,28 +265,44 @@ func TestParseEntryName(t *testing.T) {
 	}
 }
 
-// backdate rewinds an entry file's mtime so retention tests can age
-// entries without sleeping.
-func backdate(t *testing.T, fs *FS, key Key, age time.Duration) {
+// putAt puts key with its append time set to at, the clock retention
+// evicts by.
+func putAt(t *testing.T, p *Packed, key Key, at time.Time) {
 	t.Helper()
-	old := time.Now().Add(-age)
-	if err := os.Chtimes(fs.path(key), old, old); err != nil {
+	p.now = func() time.Time { return at }
+	defer func() { p.now = time.Now }()
+	if err := p.Put(key, testResult(key.Seed)); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// reopen closes p and opens its directory again, so the next pass runs
+// on what the sidecars persisted.
+func reopen(t *testing.T, p *Packed) *Packed {
+	t.Helper()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := OpenPacked(p.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p2.Close() })
+	return p2
+}
+
+// TestGCWithMaxAge: append times survive a seal and reopen, so age
+// retention evicts by when an entry was written, not when it was last
+// loaded.
 func TestGCWithMaxAge(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	oldKey := Key{Hash: "aaaa304958aabbcc", Seed: 1}
 	newKey := Key{Hash: "bbbb304958aabbcc", Seed: 2}
-	for _, k := range []Key{oldKey, newKey} {
-		if err := fs.Put(k, testResult(k.Seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	backdate(t, fs, oldKey, 96*time.Hour)
+	putAt(t, p, oldKey, time.Now().Add(-96*time.Hour))
+	putAt(t, p, newKey, time.Now())
+	p = reopen(t, p)
 
-	rep, err := fs.GCWith(GCOptions{MaxAge: 72 * time.Hour})
+	rep, err := p.GCWith(GCOptions{MaxAge: 72 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,54 +312,49 @@ func TestGCWithMaxAge(t *testing.T) {
 	if rep.ReclaimedBytes <= 0 {
 		t.Error("expired entry reclaimed no bytes")
 	}
-	if _, ok, _ := fs.Get(oldKey); ok {
+	if _, ok, _ := p.Get(oldKey); ok {
 		t.Error("expired entry still served")
 	}
-	if _, ok, err := fs.Get(newKey); err != nil || !ok {
+	if _, ok, err := p.Get(newKey); err != nil || !ok {
 		t.Errorf("fresh entry lost (ok=%v err=%v)", ok, err)
 	}
 }
 
+// TestGCWithMaxBytesEvictsOldestFirst: the budget evicts by append time
+// (here the reverse of key order), and the times survive a reopen.
 func TestGCWithMaxBytesEvictsOldestFirst(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	keys := []Key{
 		{Hash: "aaaa304958aabbcc", Seed: 1},
 		{Hash: "bbbb304958aabbcc", Seed: 2},
 		{Hash: "cccc304958aabbcc", Seed: 3},
 	}
-	var each int64
+	// Strictly decreasing ages: keys[2] oldest.
 	for i, k := range keys {
-		if err := fs.Put(k, testResult(k.Seed)); err != nil {
-			t.Fatal(err)
-		}
-		// Strictly increasing ages: keys[0] oldest.
-		backdate(t, fs, k, time.Duration(len(keys)-i)*time.Hour)
-		info, err := os.Stat(fs.path(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		each = info.Size()
+		putAt(t, p, k, time.Now().Add(-time.Duration(i+1)*time.Hour))
 	}
+	each := p.index[keys[0]].length
+	p = reopen(t, p)
 
 	// Budget for exactly two entries: the oldest one must go.
-	rep, err := fs.GCWith(GCOptions{MaxBytes: 2 * each})
+	rep, err := p.GCWith(GCOptions{MaxBytes: 2 * each})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.RemovedOverBudget != 1 || rep.Kept != 2 {
 		t.Fatalf("report %+v, want 1 over-budget / 2 kept", rep)
 	}
-	if _, ok, _ := fs.Get(keys[0]); ok {
+	if _, ok, _ := p.Get(keys[2]); ok {
 		t.Error("oldest entry survived a budget that fits only two")
 	}
-	for _, k := range keys[1:] {
-		if _, ok, err := fs.Get(k); err != nil || !ok {
+	for _, k := range keys[:2] {
+		if _, ok, err := p.Get(k); err != nil || !ok {
 			t.Errorf("entry %v evicted out of order (ok=%v err=%v)", k, ok, err)
 		}
 	}
 
 	// A budget everything fits under removes nothing.
-	rep, err = fs.GCWith(GCOptions{MaxBytes: 100 * each})
+	rep, err = p.GCWith(GCOptions{MaxBytes: 100 * each})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +364,10 @@ func TestGCWithMaxBytesEvictsOldestFirst(t *testing.T) {
 }
 
 func TestGCWithZeroOptionsIsPlainGC(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	key := Key{Hash: "aaaa304958aabbcc", Seed: 9}
-	if err := fs.Put(key, testResult(9)); err != nil {
-		t.Fatal(err)
-	}
-	backdate(t, fs, key, 1000*time.Hour)
-	rep, err := fs.GC()
+	putAt(t, p, key, time.Now().Add(-1000*time.Hour))
+	rep, err := p.GC()
 	if err != nil {
 		t.Fatal(err)
 	}

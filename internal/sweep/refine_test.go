@@ -198,7 +198,7 @@ func TestRefinedBudgetNeverStrandsGroupCells(t *testing.T) {
 // from its store with a byte-identical final aggregate and refinement
 // record, recomputing only what the first run never persisted.
 func TestRefinedKilledAndResumed(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenPacked(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

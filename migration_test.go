@@ -1,20 +1,21 @@
 package ichannels_test
 
-// Migration conformance: a corpus materialized by a per-file sweep,
-// migrated with `store pack`, must serve a resumed run and a fresh
-// server with byte-identical output — cold == warm == migrated, every
-// post-migration cell marked cached. This is the promise that lets an
-// operator pack a production corpus between runs without anyone
-// downstream noticing.
+// Migration conformance: a corpus in the per-file layout earlier
+// versions wrote, migrated with `store pack`, must serve a resumed run
+// and a fresh server with byte-identical output — cold == migrated,
+// every post-migration cell marked cached. This is the promise that
+// lets an operator pack a legacy corpus without anyone downstream
+// noticing.
 
 import (
 	"bytes"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"ichannels"
+	"ichannels/internal/store"
 )
 
 const migrationSpec = "examples/sweeps/specs/crosscore_noise.json"
@@ -23,15 +24,20 @@ func TestStorePackMigrationConformance(t *testing.T) {
 	storeDir := t.TempDir()
 	args := []string{"sweep", "run", migrationSpec, "-ndjson", "-parallel", "4", "-store", storeDir, "-resume"}
 
-	// Cold run materializes the per-file corpus.
-	cold := runCLI(t, args...)
-	if ichannels.DetectStoreLayout(storeDir) != ichannels.StoreLayoutPerFile {
-		t.Fatal("fresh corpus did not come up per-file")
-	}
+	// A cold run into a scratch store computes every cell; its results
+	// become the legacy per-file corpus.
+	scratch := t.TempDir()
+	cold := runCLI(t, "sweep", "run", migrationSpec, "-ndjson", "-parallel", "4", "-store", scratch)
 	for _, ln := range cold[:len(cold)-1] {
 		if wl, _ := parseWireLine(t, ln); wl.Cached {
 			t.Fatal("cold cell marked cached")
 		}
+	}
+	if n := writeLegacyCorpus(t, scratch, storeDir); n != len(cold)-1 {
+		t.Fatalf("legacy corpus holds %d entries, want one per cell (%d)", n, len(cold)-1)
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, store.SegmentsDirName)); !os.IsNotExist(err) {
+		t.Fatalf("legacy fixture already has segments (err=%v)", err)
 	}
 
 	// Migrate in place via the CLI, exactly as an operator would.
@@ -39,8 +45,8 @@ func TestStorePackMigrationConformance(t *testing.T) {
 	if len(out) == 0 || !bytes.Contains(out[len(out)-1], []byte("packed")) {
 		t.Fatalf("store pack said: %s", bytes.Join(out, []byte("\n")))
 	}
-	if ichannels.DetectStoreLayout(storeDir) != ichannels.StoreLayoutPacked {
-		t.Fatal("store pack left the corpus per-file")
+	if _, err := os.Stat(filepath.Join(storeDir, store.SegmentsDirName)); err != nil {
+		t.Fatalf("store pack wrote no segments: %v", err)
 	}
 	// Nothing per-file survives except the segments directory.
 	des, err := os.ReadDir(storeDir)
@@ -112,4 +118,39 @@ func TestStorePackMigrationConformance(t *testing.T) {
 	if !strings.Contains(string(gc[len(gc)-1]), "removed 0 corrupt") {
 		t.Fatalf("store gc after pack: %s", gc[len(gc)-1])
 	}
+}
+
+// writeLegacyCorpus copies every result in the store at from into dir
+// in the per-file layout earlier versions wrote — one EncodeEnvelope
+// payload per dir/<hash[:2]>/<hash>-<seed>.json — and returns how many
+// it wrote.
+func writeLegacyCorpus(t *testing.T, from, dir string) int {
+	t.Helper()
+	src, err := store.OpenPacked(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	entries, err := src.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		res, ok, err := src.Get(e.Key)
+		if !ok || err != nil {
+			t.Fatalf("source entry %s: ok=%v err=%v", e.Key, ok, err)
+		}
+		data, err := store.EncodeEnvelope(e.Key, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, e.Key.Hash[:2], e.Key.String()+".json")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return len(entries)
 }
