@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"ichannels"
+	"ichannels/internal/engine"
+	"ichannels/internal/mitigate"
 	"ichannels/internal/scenario"
 	"ichannels/internal/soc"
 )
@@ -115,7 +117,7 @@ func BenchmarkAblationSerializedVR(b *testing.B) {
 		proc := ichannels.CannonLake8121U()
 		opts := ichannels.MachineOptions{Processor: proc, Seed: seed}
 		if perCore {
-			opts = ichannels.MitigatedMachineOptions(ichannels.PerCoreVR, proc, seed)
+			opts = mitigate.MachineOptions(ichannels.PerCoreVR, proc, seed)
 			opts.Noise = ichannels.NoiseConfig{}
 			opts.TSCJitterCycles = 0
 		}
@@ -379,7 +381,7 @@ func BenchmarkStreamScenarios(b *testing.B) {
 	for _, par := range []int{1, 8} {
 		b.Run(fmt.Sprintf("parallel-%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				stats, err := ichannels.StreamScenarios(context.Background(), ichannels.ScenarioStreamOptions{
+				stats, err := engine.StreamScenarios(context.Background(), engine.StreamOptions{
 					Next: grid(), BaseSeed: int64(i + 1), Parallel: par, Window: 8,
 				})
 				if err != nil {
@@ -437,7 +439,7 @@ func BenchmarkSweepRefined(b *testing.B) {
 	}
 	var res *ichannels.SweepResult
 	for i := 0; i < b.N; i++ {
-		res, err = ichannels.RefineSweep(context.Background(), sw, ichannels.SweepOptions{
+		res, err = ichannels.RunSweep(context.Background(), sw, ichannels.SweepOptions{
 			BaseSeed: int64(i + 1), Parallel: 8,
 		})
 		if err != nil {
@@ -468,7 +470,7 @@ func TestBenchmarkSpecsValidate(t *testing.T) {
 			t.Errorf("benchmarked experiment %q is not in the registry", id)
 			continue
 		}
-		if err := ichannels.ScenarioFromExperiment(id).Validate(); err != nil {
+		if err := scenario.FromExperiment(id).Validate(); err != nil {
 			t.Errorf("experiment %q scenario: %v", id, err)
 		}
 	}

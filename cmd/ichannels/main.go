@@ -8,14 +8,16 @@
 //	ichannels exp all [-seed N]         run every experiment serially
 //	ichannels scenario run spec.json    run declarative scenario spec(s);
 //	                                    examples/scenarios/specs/paper_figures.json
-//	                                    batches every experiment on a worker pool
+//	                                    batches every experiment on a worker pool,
+//	                                    a spy-role spec runs the §6.5 side channel
 //	ichannels scenario schema           print the scenario JSON schema
 //	ichannels sweep run sweep.json      expand and run a parameter grid
 //	ichannels sweep expand sweep.json   print a grid's expanded cells
 //	ichannels sweep schema              print the sweep JSON schema
+//	ichannels store ls|verify|gc|pack|sync|bench
+//	                                    inspect and maintain a result store
 //	ichannels serve [-addr HOST:PORT]   serve the scenario API over HTTP
 //	ichannels demo [-kind K] [-seed N]  transmit a message covertly
-//	ichannels spy [-seed N]             instruction-class inference demo
 package main
 
 import (
@@ -59,10 +61,6 @@ func main() {
 		err = serveCmd(os.Args[2:])
 	case "demo":
 		err = demo(os.Args[2:])
-	case "spy":
-		err = spy(os.Args[2:])
-	case "trace":
-		err = traceCmd(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -126,8 +124,7 @@ func usage() {
                                       oversized uploads rejected at the door; config + last report
                                       are advertised on /v1/stats)
   ichannels demo [-kind thread|smt|cores|retire|clockmod] [-msg S] [-seed N]
-  ichannels spy [-seed N]
-  ichannels trace [-proc NAME] [-class C] [-ghz F] [-us D]  CSV Vcc/Icc/IPC trace`)
+                                      transmit a message covertly over one registered channel kind`)
 }
 
 func list() error {
@@ -834,96 +831,5 @@ func demo(args []string) error {
 		return fmt.Errorf("demo: message not recovered (%s)", strings.Join(res.Notes, "; "))
 	}
 	fmt.Printf("exfiltrated message: %q\n", res.DecodedPayload)
-	return nil
-}
-
-// traceCmd records a Fig. 9-style NI-DAQ trace of one PHI burst and writes
-// it as CSV to stdout for offline plotting.
-func traceCmd(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	procName := fs.String("proc", "Cannon Lake", "processor profile name")
-	className := fs.String("class", "256b_Heavy", "instruction class of the burst")
-	ghz := fs.Float64("ghz", 1.4, "requested frequency in GHz")
-	durUS := fs.Float64("us", 60, "trace duration in microseconds")
-	sampleNS := fs.Float64("sample", 200, "sampling interval in nanoseconds")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	proc, err := ichannels.ProcessorByName(*procName)
-	if err != nil {
-		return err
-	}
-	cls, err := ichannels.ParseClass(*className)
-	if err != nil {
-		return err
-	}
-	m, err := ichannels.NewMachine(ichannels.MachineOptions{
-		Processor:     proc,
-		RequestedFreq: ichannels.Hertz(*ghz) * ichannels.GHz,
-		Cores:         1,
-		Seed:          *seed,
-	})
-	if err != nil {
-		return err
-	}
-	rec, err := ichannels.NewRecorder(m, ichannels.Duration(*sampleNS)*ichannels.Nanosecond)
-	if err != nil {
-		return err
-	}
-	rec.Start()
-	agent := ichannels.AgentFunc{AgentName: "trace", Fn: func(env *ichannels.AgentEnv, prev *ichannels.Result) ichannels.Action {
-		if prev == nil {
-			return ichannels.Exec(ichannels.KernelFor(cls), 200)
-		}
-		return ichannels.StopAction()
-	}}
-	if _, err := m.Bind(0, 0, agent); err != nil {
-		return err
-	}
-	m.RunFor(ichannels.Duration(*durUS) * ichannels.Microsecond)
-	rec.Stop()
-	return rec.WriteCSV(os.Stdout)
-}
-
-func spy(args []string) error {
-	fs := flag.NewFlagSet("spy", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	proc := ichannels.CannonLake8121U()
-	m, err := ichannels.NewMachine(ichannels.MachineOptions{Processor: proc, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	s, err := ichannels.NewSpy(m, ichannels.SMT)
-	if err != nil {
-		return err
-	}
-	if err := s.Calibrate(6); err != nil {
-		return err
-	}
-	// A "victim" alternating between instruction widths; the spy on the
-	// SMT sibling identifies each window's width.
-	victim := []ichannels.Class{
-		ichannels.Vec256Heavy, ichannels.Scalar64, ichannels.Vec512Heavy,
-		ichannels.Vec128Heavy, ichannels.Vec256Heavy, ichannels.Scalar64,
-		ichannels.Vec512Heavy, ichannels.Vec512Heavy, ichannels.Vec128Heavy,
-		ichannels.Scalar64,
-	}
-	res, err := s.Infer(victim)
-	if err != nil {
-		return err
-	}
-	fmt.Println("victim executed → spy inferred:")
-	for i := range res.Actual {
-		mark := "✓"
-		if res.Actual[i] != res.Inferred[i] {
-			mark = "✗"
-		}
-		fmt.Printf("  %-12s → %-12s %s\n", res.Actual[i], res.Inferred[i], mark)
-	}
-	fmt.Printf("accuracy: %.0f%%\n", res.Accuracy*100)
 	return nil
 }

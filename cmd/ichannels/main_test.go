@@ -3,12 +3,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ichannels"
+	"ichannels/internal/scenario"
+	"ichannels/internal/store"
 )
 
 func TestDecodeSpecs(t *testing.T) {
@@ -140,6 +143,74 @@ func TestExpArgs(t *testing.T) {
 		}
 		if out != "" {
 			t.Errorf("exp %v: printed %d bytes before rejecting the arguments", tc.args, len(out))
+		}
+	}
+}
+
+// snapshotTree maps every path under dir to its contents ("/" marks a
+// directory), so a comparison catches created, removed and rewritten
+// files alike.
+func snapshotTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			tree[rel] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		tree[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestStoreReadVerbsWriteNothing: store ls and store verify only read.
+// A corpus that is half duplicate records (two writers that stored the
+// same cells) keeps its segments byte for byte, where an open used to
+// start a compaction, and an empty foreign directory gains no segments
+// directory.
+func TestStoreReadVerbsWriteNothing(t *testing.T) {
+	corpus := t.TempDir()
+	var writers []*store.Packed
+	for range 2 {
+		st, err := store.OpenPacked(corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writers = append(writers, st)
+	}
+	for _, st := range writers {
+		for seed := int64(1); seed <= 4; seed++ {
+			res := &scenario.Result{Role: scenario.RoleChannel, Hash: "0123456789abcdef", Seed: seed, Bits: 4}
+			if err := st.Put(store.Key{Hash: res.Hash, Seed: seed}, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, st := range writers {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, dir := range []string{corpus, t.TempDir()} {
+		before := snapshotTree(t, dir)
+		for _, verb := range []string{"ls", "verify"} {
+			if _, err := captureStdout(t, func() error { return storeCmd([]string{verb, dir}) }); err != nil {
+				t.Fatalf("store %s %s: %v", verb, dir, err)
+			}
+			after := snapshotTree(t, dir)
+			if !maps.Equal(before, after) {
+				t.Errorf("store %s changed %s: %d paths before, %d after", verb, dir, len(before), len(after))
+			}
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"ichannels"
+	"ichannels/internal/dist"
 )
 
 // seedFromSpecs adds every checked-in example spec matching pattern to
@@ -114,7 +115,7 @@ func FuzzParseCellDispatch(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, c := range cells {
-			frame, err := json.Marshal(ichannels.NewCellDispatch(c.Scenario, c.Scenario.Hash(), 42))
+			frame, err := json.Marshal(dist.NewCellDispatch(c.Scenario, c.Scenario.Hash(), 42))
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -125,7 +126,7 @@ func FuzzParseCellDispatch(f *testing.F) {
 	f.Add([]byte(`{"v":2,"hash":"","seed":-1,"scenario":{}}`))
 	f.Add([]byte(`{"v":1,"hash":"x","seed":1,"scenario":{"role":"channel","kind":"smt","bits":16,"noise":{}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := ichannels.ParseCellDispatch(data)
+		d, err := dist.ParseCellDispatch(data)
 		if err != nil {
 			return // rejected frames only need to not panic
 		}
@@ -137,7 +138,7 @@ func FuzzParseCellDispatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal of parsed dispatch failed: %v", err)
 		}
-		d2, err := ichannels.ParseCellDispatch(blob)
+		d2, err := dist.ParseCellDispatch(blob)
 		if err != nil {
 			t.Fatalf("re-parse of normalized marshal failed: %v\n%s", err, blob)
 		}

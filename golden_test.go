@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"ichannels"
+	"ichannels/internal/sweep"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with the current output")
@@ -152,7 +153,7 @@ func TestGoldenFig14RefinedAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ichannels.RefineSweep(context.Background(), sw, ichannels.SweepOptions{BaseSeed: 1, Parallel: 8})
+	res, err := ichannels.RunSweep(context.Background(), sw, ichannels.SweepOptions{BaseSeed: 1, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,8 @@ func TestGoldenFig14RefinedAggregate(t *testing.T) {
 		t.Fatalf("%d cells failed", res.Failed)
 	}
 	envelope := struct {
-		Aggregate  *ichannels.SweepTable           `json:"aggregate"`
-		Refinement *ichannels.SweepRefinementStats `json:"refinement"`
+		Aggregate  *sweep.Table           `json:"aggregate"`
+		Refinement *sweep.RefinementStats `json:"refinement"`
 	}{res.Aggregate, res.Refinement}
 	compareGolden(t, filepath.Join("testdata", "golden", "fig14_refined_aggregate.json"), indented(t, envelope))
 }

@@ -13,7 +13,7 @@
 //   - the three IChannels covert channels (IccThreadCovert, IccSMTcovert,
 //     IccCoresCovert), an instruction-class-inference side channel, and
 //     the four baselines the paper compares against (NetSpectre, TurboCC,
-//     DFScovert, PowerT);
+//     DFScovert, PowerT; run as baseline-role scenarios);
 //   - the paper's three mitigations (per-core VRs, improved throttling,
 //     secure mode) and an evaluation harness;
 //   - runners that regenerate every figure and table of the paper's
@@ -40,11 +40,9 @@ package ichannels
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 
-	"ichannels/internal/baselines"
 	"ichannels/internal/core"
 	"ichannels/internal/dist"
 	"ichannels/internal/ecc"
@@ -73,13 +71,8 @@ type MachineOptions = soc.Options
 // NoiseConfig describes OS interrupt/context-switch injection.
 type NoiseConfig = soc.NoiseConfig
 
-// PowerState is an instantaneous electrical snapshot.
-type PowerState = soc.PowerState
-
-// Agent is a software context bound to a hardware thread.
-type Agent = soc.Agent
-
-// AgentFunc adapts a function to the Agent interface.
+// AgentFunc adapts a function to a software context bound to a hardware
+// thread (Machine.Bind).
 type AgentFunc = soc.AgentFunc
 
 // AgentEnv is the execution context handed to agents.
@@ -94,8 +87,6 @@ type (
 // Agent action constructors.
 var (
 	Exec       = soc.Exec
-	SpinUntil  = soc.SpinUntil
-	IdleFor    = soc.IdleFor
 	StopAction = soc.Stop
 )
 
@@ -112,20 +103,9 @@ func NoiseWithRates(interruptsPerSec, ctxSwitchesPerSec float64) NoiseConfig {
 // Processor is a calibrated processor profile.
 type Processor = model.Processor
 
-// The three parts characterized in the paper, plus the §6.4 server
-// extension profile (extrapolated, not calibrated against published data).
-var (
-	Haswell4770K     = model.Haswell4770K
-	CoffeeLake9700K  = model.CoffeeLake9700K
-	CannonLake8121U  = model.CannonLake8121U
-	XeonPlatinum8160 = model.XeonPlatinum8160
-)
-
-// Processors returns all calibrated profiles.
-func Processors() []Processor { return model.All() }
-
-// ProcessorByName looks up a profile by marketing or code name.
-func ProcessorByName(name string) (Processor, error) { return model.ByName(name) }
+// CannonLake8121U is the Cannon Lake part characterized in the paper;
+// scenarios name every calibrated profile by its processor field.
+var CannonLake8121U = model.CannonLake8121U
 
 // ---- Instruction model ----
 
@@ -149,9 +129,6 @@ const (
 // KernelFor returns the canonical loop kernel for a class.
 func KernelFor(c Class) Kernel { return isa.KernelFor(c) }
 
-// ParseClass converts a class name ("64b", "256b_Heavy", ...) to a Class.
-func ParseClass(s string) (Class, error) { return isa.ParseClass(s) }
-
 // ---- Covert channels (the paper's contribution) ----
 
 // Channel is one configured IChannels covert channel.
@@ -170,14 +147,8 @@ const (
 // ChannelParams time-boxes covert transactions.
 type ChannelParams = core.Params
 
-// Calibration is a learned decode rule.
-type Calibration = core.Calibration
-
 // TransmitResult reports a covert transmission.
 type TransmitResult = core.TransmitResult
-
-// Symbol is a 2-bit covert symbol.
-type Symbol = core.Symbol
 
 // Spy is the §6.5 instruction-class-inference side channel.
 type Spy = core.Spy
@@ -193,24 +164,6 @@ func DefaultChannelParams(kind ChannelKind, p Processor) ChannelParams {
 
 // NewSpy builds the side-channel observer.
 func NewSpy(m *Machine, kind ChannelKind) (*Spy, error) { return core.NewSpy(m, kind) }
-
-// ---- Baselines ----
-
-// Baseline channel implementations compared against in Fig. 12 / Table 2.
-type (
-	NetSpectre = baselines.NetSpectre
-	TurboCC    = baselines.TurboCC
-	DFScovert  = baselines.DFScovert
-	PowerT     = baselines.PowerT
-)
-
-// Baseline constructors.
-var (
-	NewNetSpectre = baselines.NewNetSpectre
-	NewTurboCC    = baselines.NewTurboCC
-	NewDFScovert  = baselines.NewDFScovert
-	NewPowerT     = baselines.NewPowerT
-)
 
 // ---- Mitigations ----
 
@@ -233,12 +186,6 @@ func EvaluateMitigation(k Mitigation, ch ChannelKind, p Processor, nBits int, se
 	return mitigate.Evaluate(k, ch, p, nBits, seed)
 }
 
-// MitigatedMachineOptions returns machine options with mitigation k
-// applied (including the evaluation noise environment).
-func MitigatedMachineOptions(k Mitigation, p Processor, seed int64) MachineOptions {
-	return mitigate.MachineOptions(k, p, seed)
-}
-
 // ---- Coding (noise recovery, §6.3) ----
 
 // Frame coding helpers: Hamming(7,4) + interleaving + CRC-8 framing.
@@ -259,22 +206,17 @@ func NewRecorder(m *Machine, interval Duration) (*Recorder, error) {
 
 // ---- Units ----
 
-// Time and Duration are simulated picosecond timestamps/spans; Hertz is a
-// frequency.
+// Duration is a simulated picosecond span; Hertz is a frequency.
 type (
-	Time     = units.Time
 	Duration = units.Duration
 	Hertz    = units.Hertz
 )
 
-// Common duration and frequency constants.
+// Duration and frequency constants.
 const (
 	Nanosecond  = units.Nanosecond
 	Microsecond = units.Microsecond
-	Millisecond = units.Millisecond
-	Second      = units.Second
 	GHz         = units.GHz
-	MHz         = units.MHz
 )
 
 // ---- Experiments ----
@@ -336,14 +278,6 @@ func RunScenarios(ctx context.Context, opts ScenarioBatchOptions) (*ScenarioBatc
 	return engine.RunScenarios(ctx, opts)
 }
 
-// ScenarioFromExperiment wraps a registered experiment ID as a
-// Scenario (the canned generator for the figure/table registry).
-func ScenarioFromExperiment(id string) Scenario { return scenario.FromExperiment(id) }
-
-// AllExperimentScenarios returns one experiment-role Scenario per
-// registered experiment, in definition order.
-func AllExperimentScenarios() []Scenario { return scenario.AllExperiments() }
-
 // ScenarioSchemaJSON returns the machine-readable Scenario spec schema
 // (the payload of GET /v1/scenarios/schema).
 func ScenarioSchemaJSON() []byte { return scenario.SchemaJSON() }
@@ -352,15 +286,6 @@ func ScenarioSchemaJSON() []byte { return scenario.SchemaJSON() }
 // order — the paper's three variants plus the adopted families — all
 // valid for scenario roles channel and mitigation-eval.
 func ChannelKindNames() []string { return scenario.ChannelKindNames() }
-
-// SpyKindNames returns the channel kinds the spy role accepts.
-func SpyKindNames() []string { return scenario.SpyKindNames() }
-
-// BaselineNames returns every registered baseline channel name.
-func BaselineNames() []string { return scenario.BaselineNames() }
-
-// MitigationNames returns every canonical mitigation name.
-func MitigationNames() []string { return scenario.MitigationNames() }
 
 // ChannelKindSource returns the source-paper citation for a registered
 // channel kind ("" for unknown names).
@@ -398,21 +323,10 @@ func NewExperimentServerWithStore(st ResultStore) http.Handler {
 // ResultStore is the pluggable persistence contract every execution
 // layer accepts: results are content-addressed by (scenario hash,
 // effective seed) and immutable by the determinism contract. Set it on
-// ScenarioBatchOptions/ScenarioStreamOptions/SweepOptions (directly or
-// via their WithStore methods) to make runs fetch-or-compute, or hand
-// it to NewExperimentServerWithStore.
+// ScenarioBatchOptions/SweepOptions (directly or via their WithStore
+// methods) to make runs fetch-or-compute, or hand it to
+// NewExperimentServerWithStore.
 type ResultStore = store.Store
-
-// ResultStoreKey identifies one stored result.
-type ResultStoreKey = store.Key
-
-// StoreEntry, StoreVerifyReport and StoreGCReport are the maintenance
-// views of a directory store (List, Verify, GC/GCWith).
-type (
-	StoreEntry        = store.Entry
-	StoreVerifyReport = store.VerifyReport
-	StoreGCReport     = store.GCReport
-)
 
 // StoreGCOptions bounds what DirResultStore.GCWith retains: entries
 // older than MaxAge are removed, then the oldest survivors are evicted
@@ -472,24 +386,18 @@ func CloseResultStore(st ResultStore) error { return store.CloseStore(st) }
 // the tiers can never disagree about a key's bytes — there is no
 // invalidation, only presence.
 type (
-	ReplicaResultStore  = store.ReplicaStore
-	ReplicaStoreOptions = store.ReplicaOptions
-	StoreSyncReport     = store.SyncReport
+	ReplicaResultStore = store.ReplicaStore
+	StoreSyncReport    = store.SyncReport
 )
 
-// Tier counters the resilient store path exposes: retry/breaker
-// activity on the remote leg, cache activity on the replica leg.
-// Engine stream stats, sweep results, and GET /v1/stats all carry a
-// StoreTierStats snapshot when the store has a remote behind it.
-type (
-	StoreTierStats    = store.TierStats
-	StoreRemoteStats  = store.RemoteStats
-	StoreReplicaStats = store.ReplicaStats
-)
+// StoreTierStats is what the resilient store path counts: retry/breaker
+// activity on the remote leg, cache activity on the replica leg. Sweep
+// results and GET /v1/stats carry a snapshot when the store has a
+// remote behind it.
+type StoreTierStats = store.TierStats
 
 // OpenReplicaStore layers a local cache directory over the remote
-// corpus at baseURL — what `-store URL -cache
-// DIR` opens. The remote leg carries the default retry policy.
+// corpus at baseURL — what `-store URL -cache DIR` opens. The remote leg carries the default retry policy.
 func OpenReplicaStore(cacheDir, baseURL string) (*ReplicaResultStore, error) {
 	r, err := store.OpenRemote(baseURL, nil)
 	if err != nil {
@@ -527,24 +435,6 @@ func RunStoreBench(opts StoreBenchOptions) (*StoreBenchReport, error) {
 	return store.RunBench(opts)
 }
 
-// ---- Streaming execution ----
-
-// ScenarioStreamOptions configures a streaming scenario run: scenarios
-// are pulled lazily from Next and outcomes pushed in order to Emit,
-// with memory bounded by the worker count and reorder window instead of
-// the stream length.
-type ScenarioStreamOptions = engine.StreamOptions
-
-// ScenarioStreamStats summarizes a completed stream.
-type ScenarioStreamStats = engine.StreamStats
-
-// StreamScenarios executes a lazily produced scenario sequence on a
-// worker pool with bounded memory, emitting outcomes in stream order.
-// RunScenarios is its collect-all wrapper; sweeps are its main client.
-func StreamScenarios(ctx context.Context, opts ScenarioStreamOptions) (*ScenarioStreamStats, error) {
-	return engine.StreamScenarios(ctx, opts)
-}
-
 // ---- Sweep API: declarative parameter grids ----
 
 // Sweep is the declarative description of a parameter grid: a base
@@ -555,12 +445,6 @@ func StreamScenarios(ctx context.Context, opts ScenarioStreamOptions) (*Scenario
 // from Go (RunSweep), the CLI (ichannels sweep run), and the wire
 // (POST /v1/sweeps).
 type Sweep = scenario.Sweep
-
-// SweepAxes names the grid dimensions of a Sweep.
-type SweepAxes = scenario.SweepAxes
-
-// SweepFilter is one cell-exclusion rule of a Sweep.
-type SweepFilter = scenario.SweepFilter
 
 // SweepCell is one expanded grid point: the combined normalized
 // scenario plus its axis coordinates.
@@ -577,10 +461,6 @@ type SweepCellOutcome = sweep.CellOutcome
 // SweepResult is a completed sweep: compact per-cell summaries plus
 // the grouped aggregate table.
 type SweepResult = sweep.Result
-
-// SweepTable is the grouped aggregate (count and mean/min/max/p50/p95
-// of BER, throughput, and simulated time per axis-subset group).
-type SweepTable = sweep.Table
 
 // RunSweep expands and executes a sweep, streaming cells through the
 // engine worker pool with bounded memory and reducing them on the fly.
@@ -609,41 +489,20 @@ type SweepCellLineJSON = sweep.CellLine
 // form the CLI emits (the HTTP layer adds a `cached` field on top).
 func SweepCellLine(o SweepCellOutcome) SweepCellLineJSON { return sweep.LineOf(o) }
 
-// WriteSweepAggregateLine writes the aggregate's NDJSON framing — the
-// final line of both `ichannels sweep run -ndjson` and POST /v1/sweeps,
-// byte-identical between the two for a fixed spec and seed. Refined
-// runs use SweepResult.WriteAggregateLine instead, which carries the
-// refinement record in the same line.
-func WriteSweepAggregateLine(w io.Writer, t *SweepTable) error {
-	return sweep.WriteAggregateLine(w, t)
-}
-
 // ---- Distributed execution ----
 
-// CellRunner is the hash-aware compute seam of the streaming engine:
-// set one on ScenarioBatchOptions/ScenarioStreamOptions/SweepOptions
-// (the Runner field) to delegate each cell's compute — the distributed
-// tier's WorkerPool is the remote implementation. Implementations must
-// honor the determinism contract: for a fixed (spec, seed) the returned
-// result's JSON encoding is byte-identical to a local run's.
-type CellRunner = engine.CellRunner
-
-// WorkerPool is the distributed sweep coordinator: a CellRunner that
-// dispatches cells to remote workers over the HTTP v1 wire, verifies
-// every response against the store's checksummed envelope format (a
-// byzantine or stale worker is rejected and its cell redispatched),
-// quarantines failing workers with exponential backoff, and falls back
-// to local compute so output bytes never depend on which machines were
-// alive. See internal/dist and docs/ARCHITECTURE.md.
+// WorkerPool is the distributed sweep coordinator, set as
+// SweepOptions.Runner: it dispatches cells to remote workers over the
+// HTTP v1 wire, verifies every response against the store's checksummed
+// envelope format (a byzantine or stale worker is rejected and its cell
+// redispatched), quarantines failing workers with exponential backoff,
+// and falls back to local compute so output bytes never depend on which
+// machines were alive. See internal/dist and docs/ARCHITECTURE.md.
 type WorkerPool = dist.Pool
 
 // WorkerPoolOptions configures a WorkerPool (HTTP client, retry
 // attempts, backoff, local-fallback policy).
 type WorkerPoolOptions = dist.Options
-
-// WorkerPoolStats snapshots a pool's counters: verified remote cells,
-// redispatches, rejected (byzantine/stale) responses, local fallbacks.
-type WorkerPoolStats = dist.Stats
 
 // NewWorkerPool builds a coordinator over worker base URLs — what
 // `ichannels sweep run -workers URL,URL` constructs.
@@ -651,42 +510,14 @@ func NewWorkerPool(workers []string, opts WorkerPoolOptions) (*WorkerPool, error
 	return dist.New(workers, opts)
 }
 
-// CellDispatch is the coordinator→worker wire frame for one cell
-// (version, content hash, effective seed, normalized spec).
-type CellDispatch = dist.CellDispatch
-
-// NewCellDispatch frames one cell for the wire; ParseCellDispatch is
-// the strict decoder the worker endpoint uses (unknown fields and
-// trailing data rejected).
-var (
-	NewCellDispatch   = dist.NewCellDispatch
-	ParseCellDispatch = dist.ParseCellDispatch
-)
-
-// NewWorkerServer is NewExperimentServerWithStore plus the distributed
-// tier's cell endpoint (POST /v1/cells): the handler `ichannels serve
-// -worker` mounts. Workers share the single-flight (hash, seed) cache
-// with every other route, and with a non-nil store the durable corpus
-// too — cross-node dedup for free. Pass nil to run a memory-only
-// worker.
-func NewWorkerServer(st ResultStore) http.Handler {
-	return serve.New(serve.Options{Store: st, Worker: true}).Handler()
-}
-
-// ServerOptions configures NewServer: the full serve surface (store
-// tier, worker endpoint, store sharing, cache and concurrency bounds)
-// in one struct. The named constructors above remain as the common
-// presets.
+// ServerOptions configures NewAPIServer: the full serve surface (store
+// tier, worker endpoint POST /v1/cells, store sharing, cache and
+// concurrency bounds) in one struct.
 type ServerOptions = serve.Options
 
-// NewServer builds the scenario-API handler from explicit options.
-// Callers that need the server's lifecycle (the retention timer) use
-// NewAPIServer instead.
-func NewServer(opts ServerOptions) http.Handler { return serve.New(opts).Handler() }
-
-// APIServer is the serve-layer server itself, exposed for callers that
-// need more than the handler: Close stops the retention timer,
-// RunRetention forces one GC pass.
+// APIServer is the serve-layer server itself: Handler is its
+// http.Handler, Close stops the retention timer, RunRetention forces
+// one GC pass.
 type APIServer = serve.Server
 
 // NewAPIServer builds the full server — what `ichannels serve` uses so
@@ -695,35 +526,17 @@ func NewAPIServer(opts ServerOptions) *APIServer { return serve.New(opts) }
 
 // ---- Adaptive sweep refinement ----
 
-// SweepRefine is the optional refine block of a Sweep: run a coarse
-// strided pass first, then re-expand only the group_by regions whose
-// metric (BER or throughput) actually moves — the Fig. 14-style
-// noise/BER knee found with a fraction of the dense grid's cells. See
-// scenario.Refine for the pass model and determinism contract.
-type SweepRefine = scenario.Refine
+// A Sweep with a refine block runs adaptively under RunSweep: a coarse
+// strided pass first, then only the group_by regions whose metric (BER
+// or throughput) actually moves re-expand — the Fig. 14-style noise/BER
+// knee found with a fraction of the dense grid's cells. The refined
+// cell set, per-cell results and the final aggregate are byte-identical
+// at any parallelism and across kill-and-resume.
 
 // SweepPassStats is one executed refinement pass's deterministic
 // header (pass number, cell count, budget truncation); streamed to
-// SweepOptions.OnPass and recorded in SweepRefinementStats.
+// SweepOptions.OnPass.
 type SweepPassStats = sweep.PassStats
-
-// SweepRefinementStats records a refined run's shape: the watched
-// metric, each pass, and cells computed vs the dense-grid equivalent.
-type SweepRefinementStats = sweep.RefinementStats
-
-// RefineSweep runs a sweep adaptively, requiring the spec to carry a
-// refine block (RunSweep also honors the block; this entry point makes
-// the intent explicit and fails loudly on a dense spec). The refined
-// cell set, per-cell results, and the final aggregate are byte-identical
-// at any parallelism and across kill-and-resume, because per-pass
-// dispatch follows scenario content-hash order and per-cell seeds
-// derive from (BaseSeed, cell hash) exactly as in a dense run.
-func RefineSweep(ctx context.Context, sw Sweep, opts SweepOptions) (*SweepResult, error) {
-	if sw.Normalized().Refine == nil {
-		return nil, fmt.Errorf("ichannels: RefineSweep needs a spec with a refine block (use RunSweep for dense grids)")
-	}
-	return sweep.Run(ctx, sw, opts)
-}
 
 // WriteSweepPassLine writes one refinement pass marker's NDJSON framing
 // — emitted before the pass's cell lines by both the CLI's -ndjson mode

@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	"ichannels"
+	"ichannels/internal/model"
+	"ichannels/internal/scenario"
+	"ichannels/internal/sweep"
 )
 
 // The root package is the public API surface; these tests exercise it the
@@ -40,10 +43,10 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestProcessorsExposed(t *testing.T) {
-	if len(ichannels.Processors()) != 3 {
+	if len(model.All()) != 3 {
 		t.Fatal("three characterized processors expected")
 	}
-	if _, err := ichannels.ProcessorByName("Cannon Lake"); err != nil {
+	if _, err := model.ByName("Cannon Lake"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,7 +86,7 @@ func TestExperimentRegistryExposed(t *testing.T) {
 func TestExperimentEngineExposed(t *testing.T) {
 	batch, err := ichannels.RunScenarios(context.Background(), ichannels.ScenarioBatchOptions{
 		Scenarios: []ichannels.Scenario{
-			ichannels.ScenarioFromExperiment("fig13"), ichannels.ScenarioFromExperiment("fig11"),
+			scenario.FromExperiment("fig13"), scenario.FromExperiment("fig11"),
 		},
 		BaseSeed: 1, Parallel: 2,
 	})
@@ -181,7 +184,7 @@ func TestScenarioAPIExposed(t *testing.T) {
 	}
 
 	batch, err := ichannels.RunScenarios(context.Background(), ichannels.ScenarioBatchOptions{
-		Scenarios: []ichannels.Scenario{spec, ichannels.ScenarioFromExperiment("fig13")},
+		Scenarios: []ichannels.Scenario{spec, scenario.FromExperiment("fig13")},
 		BaseSeed:  1, Parallel: 2,
 	})
 	if err != nil {
@@ -225,7 +228,7 @@ func TestScenarioAPIExposed(t *testing.T) {
 		t.Errorf("HTTP result differs from direct RunScenario:\n%s\n%s", renorm, wantJSON)
 	}
 
-	if len(ichannels.ScenarioSchemaJSON()) == 0 || len(ichannels.AllExperimentScenarios()) == 0 {
+	if len(ichannels.ScenarioSchemaJSON()) == 0 || len(scenario.AllExperiments()) == 0 {
 		t.Error("schema or experiment generators empty")
 	}
 }
@@ -279,7 +282,7 @@ func TestSweepAPIExposed(t *testing.T) {
 		t.Fatalf("ran %d/%d cells, %d failed", streamed, len(cells), res.Failed)
 	}
 	var direct bytes.Buffer
-	if err := ichannels.WriteSweepAggregateLine(&direct, res.Aggregate); err != nil {
+	if err := sweep.WriteAggregateLine(&direct, res.Aggregate); err != nil {
 		t.Fatal(err)
 	}
 

@@ -40,7 +40,7 @@ func Pack(dir string) (*PackReport, error) {
 	if err := os.MkdirAll(filepath.Join(dir, SegmentsDirName), 0o755); err != nil {
 		return nil, fmt.Errorf("store: pack: %w", err)
 	}
-	packed, err := OpenPackedWith(dir, PackedOptions{DisableAutoCompact: true})
+	packed, err := OpenPacked(dir)
 	if err != nil {
 		return nil, err
 	}

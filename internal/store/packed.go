@@ -37,9 +37,9 @@ const DefaultMaxSegmentBytes int64 = 8 << 20
 // pick up what other writers appended since this store looked.
 const refreshEvery = time.Second
 
-// autoCompactDenominator triggers background compaction when the dead
-// fraction discovered at open reaches 1/autoCompactDenominator of the
-// corpus bytes.
+// autoCompactDenominator makes a store's first write schedule a
+// background compaction when the dead fraction discovered at open
+// reaches 1/autoCompactDenominator of the corpus bytes.
 const autoCompactDenominator = 4
 
 // segFileRE matches the two file kinds a segments directory owns.
@@ -51,10 +51,6 @@ type PackedOptions struct {
 	// MaxSegmentBytes overrides the segment roll threshold (0 =
 	// DefaultMaxSegmentBytes).
 	MaxSegmentBytes int64
-	// DisableAutoCompact turns off the background compaction an
-	// open-time rescan otherwise schedules when it finds enough dead
-	// bytes (corrupt records, superseded duplicates).
-	DisableAutoCompact bool
 }
 
 // packedRef locates one live entry in the in-memory index.
@@ -121,6 +117,10 @@ type Packed struct {
 	// deadBytes tracks on-disk bytes no index entry covers (corrupt
 	// records, superseded duplicates) — compaction's trigger.
 	deadBytes int64
+	// compactDue is set at open when enough of the loaded bytes are
+	// dead; the first write schedules that compaction, so a store that
+	// only reads never rewrites a segment.
+	compactDue bool
 	// lastRefresh is when the directory was last rescanned for other
 	// writers' segments (unix nanoseconds).
 	lastRefresh atomic.Int64
@@ -128,9 +128,10 @@ type Packed struct {
 	bg sync.WaitGroup
 }
 
-// OpenPacked creates (if needed) and opens the store rooted at dir with
-// default options. Every directory surface (-store, -cache, serve
-// -store, the store verbs) opens through it.
+// OpenPacked opens the store rooted at dir with default options. Every
+// directory surface (-store, -cache, serve -store, the store verbs)
+// opens through it. Opening writes nothing but the crash repair below:
+// dir and its segments directory are created by the first write.
 func OpenPacked(dir string) (*Packed, error) {
 	return OpenPackedWith(dir, PackedOptions{})
 }
@@ -150,9 +151,6 @@ func OpenPackedWith(dir string, opts PackedOptions) (*Packed, error) {
 	if _, err := os.Stat(segDir); os.IsNotExist(err) && hasLegacyEntries(dir) {
 		return nil, fmt.Errorf("store: %s is a per-file corpus; migrate it with `store pack %s` first", dir, dir)
 	}
-	if err := os.MkdirAll(segDir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	maxSeg := opts.MaxSegmentBytes
 	if maxSeg <= 0 {
 		maxSeg = DefaultMaxSegmentBytes
@@ -171,18 +169,12 @@ func OpenPackedWith(dir string, opts PackedOptions) (*Packed, error) {
 		p.Close()
 		return nil, err
 	}
-	if !opts.DisableAutoCompact && p.deadBytes > 0 {
+	if p.deadBytes > 0 {
 		var live int64
 		for _, ref := range p.index {
 			live += ref.length
 		}
-		if p.deadBytes*autoCompactDenominator >= live+p.deadBytes {
-			p.bg.Add(1)
-			go func() {
-				defer p.bg.Done()
-				p.GC() // compaction is the zero-options pass
-			}()
-		}
+		p.compactDue = p.deadBytes*autoCompactDenominator >= live+p.deadBytes
 	}
 	return p, nil
 }
@@ -196,7 +188,7 @@ func OpenPackedWith(dir string, opts PackedOptions) (*Packed, error) {
 // afresh. Open runs it once; gc and Get misses run it again.
 func (p *Packed) refreshLocked() error {
 	p.lastRefresh.Store(time.Now().UnixNano())
-	des, err := os.ReadDir(p.segDir)
+	des, err := p.readSegDir()
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -238,6 +230,16 @@ func (p *Packed) refreshLocked() error {
 		}
 	}
 	return nil
+}
+
+// readSegDir lists the segments directory; one no write has created
+// yet lists empty.
+func (p *Packed) readSegDir() ([]os.DirEntry, error) {
+	des, err := os.ReadDir(p.segDir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	return des, err
 }
 
 // refreshIfDue runs refreshLocked unless one ran within refreshEvery,
@@ -395,8 +397,8 @@ func (p *Packed) indexSegment(id int, f *os.File) (*segmentIndex, int64, error) 
 // Dir returns the store's root directory.
 func (p *Packed) Dir() string { return p.dir }
 
-// WaitMaintenance blocks until any background compaction scheduled at
-// open has finished — the deterministic hook tests and Close use.
+// WaitMaintenance blocks until any background compaction a first write
+// scheduled has finished — the deterministic hook tests and Close use.
 func (p *Packed) WaitMaintenance() { p.bg.Wait() }
 
 // Close seals the active segment (writing its sidecar atomically) and
@@ -435,11 +437,14 @@ func (p *Packed) sealLocked(st *segmentState) error {
 	return unlockSegment(st.f)
 }
 
-// newActiveLocked creates the next segment file for appends and locks
-// it before it holds a byte, so no opener mistakes it for abandoned.
-// O_EXCL detects another writer racing on the same id; the loser moves
-// on to the next.
+// newActiveLocked creates the next segment file for appends (and the
+// segments directory, on a store's first write) and locks it before it
+// holds a byte, so no opener mistakes it for abandoned. O_EXCL detects
+// another writer racing on the same id; the loser moves on to the next.
 func (p *Packed) newActiveLocked() error {
+	if err := os.MkdirAll(p.segDir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
 	for {
 		id := p.nextSeg
 		p.nextSeg++
@@ -593,6 +598,14 @@ func (p *Packed) PutObject(key Key, data []byte) error {
 	if _, ok := p.index[key]; ok {
 		return nil
 	}
+	if p.compactDue {
+		p.compactDue = false
+		p.bg.Add(1)
+		go func() {
+			defer p.bg.Done()
+			p.GC() // compaction is the zero-options pass
+		}()
+	}
 	return p.appendLocked(key, frame, p.now().Unix())
 }
 
@@ -727,6 +740,9 @@ func (p *Packed) Verify() (*VerifyReport, error) {
 // .idx whose .seg is gone), which gc removes as stray.
 func (p *Packed) foreignFilesLocked() (foreign, orphanIdx []string, err error) {
 	err = filepath.WalkDir(p.dir, func(path string, d os.DirEntry, err error) error {
+		if path == p.dir && os.IsNotExist(err) {
+			return nil // nothing written yet
+		}
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -759,7 +775,7 @@ func (p *Packed) foreignFilesLocked() (foreign, orphanIdx []string, err error) {
 // tmpFilesLocked lists temporaries in the segments directory older than
 // cutoff (zero cutoff = all of them).
 func (p *Packed) tmpFilesLocked(cutoff time.Time) ([]string, error) {
-	des, err := os.ReadDir(p.segDir)
+	des, err := p.readSegDir()
 	if err != nil {
 		return nil, err
 	}
@@ -1040,5 +1056,6 @@ func (p *Packed) compactLocked(owned map[int]bool) error {
 		p.active = nil
 	}
 	p.deadBytes = 0
+	p.compactDue = false
 	return nil
 }

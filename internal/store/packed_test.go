@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -450,8 +451,8 @@ func TestFSGCSkipsForeignFiles(t *testing.T) {
 }
 
 // TestPackedAutoCompact: an open that discovers a mostly-dead corpus
-// schedules compaction in the background; after WaitMaintenance the
-// disk holds only live records.
+// schedules compaction in the background from its first write; after
+// WaitMaintenance the disk holds only live records.
 func TestPackedAutoCompact(t *testing.T) {
 	dir := t.TempDir()
 	p, err := OpenPacked(dir)
@@ -485,13 +486,17 @@ func TestPackedAutoCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
+	// Re-putting a damaged key is the write that starts compaction.
+	if err := p2.Put(keys[0], testResult(keys[0].Seed)); err != nil {
+		t.Fatal(err)
+	}
 	p2.WaitMaintenance()
 	ls, err := p2.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ls) != 1 {
-		t.Fatalf("auto-compacted corpus lists %d entries, want 1", len(ls))
+	if len(ls) != 2 {
+		t.Fatalf("auto-compacted corpus lists %d entries, want 2", len(ls))
 	}
 	if _, ok, err := p2.Get(keys[3]); !ok || err != nil {
 		t.Fatalf("surviving entry: ok=%v err=%v", ok, err)
@@ -501,6 +506,34 @@ func TestPackedAutoCompact(t *testing.T) {
 	p2.mu.RUnlock()
 	if dead != 0 {
 		t.Fatalf("auto-compaction left %d dead bytes", dead)
+	}
+}
+
+// TestPackedFirstWriteCreatesDir: a store that has not written keeps
+// its directory off the disk — List, Verify and GC of a fresh directory
+// succeed without creating it — and its first Put creates it.
+func TestPackedFirstWriteCreatesDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "fresh")
+	p, err := OpenPacked(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if ls, err := p.List(); err != nil || len(ls) != 0 {
+		t.Fatalf("list: %v, %v", ls, err)
+	}
+	if rep, err := p.Verify(); err != nil || rep.Entries != 0 || rep.Stray != 0 {
+		t.Fatalf("verify: %+v, %v", rep, err)
+	}
+	if rep, err := p.GC(); err != nil || rep.Kept != 0 {
+		t.Fatalf("gc: %+v, %v", rep, err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("reads created %s (stat err %v)", dir, err)
+	}
+	fillPacked(t, p, 1)
+	if _, err := os.Stat(p.segPath(1)); err != nil {
+		t.Fatalf("first put wrote no segment: %v", err)
 	}
 }
 
@@ -592,5 +625,52 @@ func TestParseKeyString(t *testing.T) {
 		if ok != c.ok || got != c.want {
 			t.Errorf("ParseKeyString(%q) = %+v, %v; want %+v, %v", c.in, got, ok, c.want, c.ok)
 		}
+	}
+}
+
+// BenchmarkPackedGet is one warm store hit: index lookup, segment read,
+// frame check and envelope decode. Run with -benchmem.
+func BenchmarkPackedGet(b *testing.B) {
+	for _, n := range []int{16, 256, 1024} {
+		b.Run(fmt.Sprintf("bits=%d", n), func(b *testing.B) {
+			p, err := OpenPacked(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			if err := p.Put(plainKey, bitsResult(n)); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, ok, err := p.Get(plainKey); !ok || err != nil {
+					b.Fatalf("get: ok=%v err=%v", ok, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPackedPut is one append of a new key: envelope encode, frame,
+// segment write and index insert (segments roll as they fill). Run with
+// -benchmem.
+func BenchmarkPackedPut(b *testing.B) {
+	for _, n := range []int{16, 256, 1024} {
+		b.Run(fmt.Sprintf("bits=%d", n), func(b *testing.B) {
+			p, err := OpenPacked(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			res := bitsResult(n)
+			b.ReportAllocs()
+			var seed int64
+			for b.Loop() {
+				seed++
+				if err := p.Put(Key{Hash: plainKey.Hash, Seed: seed}, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

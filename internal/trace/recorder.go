@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
@@ -82,26 +81,4 @@ func (r *Recorder) MaxVccDelta() float64 {
 		}
 	}
 	return max
-}
-
-// WriteCSV emits the series as CSV (time in µs) for offline plotting.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "t_us,vcc_v,vccload_v,icc_a,power_w,freq_ghz,temp_c,ipc0,throttled0"); err != nil {
-		return err
-	}
-	for _, s := range r.samples {
-		ipc0, th0 := 0.0, 0
-		if len(s.CoreIPC) > 0 {
-			ipc0 = s.CoreIPC[0]
-		}
-		if len(s.Throttled) > 0 && s.Throttled[0] {
-			th0 = 1
-		}
-		if _, err := fmt.Fprintf(w, "%.3f,%.6f,%.6f,%.3f,%.3f,%.3f,%.2f,%.3f,%d\n",
-			s.T.Microseconds(), float64(s.Vcc), float64(s.Vccload), float64(s.Icc),
-			float64(s.Power), s.Freq.GHzF(), float64(s.Temp), ipc0, th0); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"ichannels/internal/isa"
@@ -85,25 +84,6 @@ func TestVccDeltaTracksGuardband(t *testing.T) {
 	// The first sample is the baseline → delta 0.
 	if rec.VccDelta()[0] != 0 {
 		t.Fatal("first delta must be zero")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	m := machine(t)
-	rec, _ := NewRecorder(m, 10*units.Microsecond)
-	rec.Start()
-	m.RunFor(30 * units.Microsecond)
-	rec.Stop()
-	var b strings.Builder
-	if err := rec.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != rec.Len()+1 {
-		t.Fatalf("CSV lines = %d, want %d", len(lines), rec.Len()+1)
-	}
-	if !strings.HasPrefix(lines[0], "t_us,vcc_v") {
-		t.Fatalf("header = %q", lines[0])
 	}
 }
 

@@ -53,7 +53,7 @@ func TestRefinedNoiseSweepMatchesDenseAtHalfTheCells(t *testing.T) {
 	sw := loadRefinedSpec(t)
 	threshold := sw.Refine.Threshold
 
-	refined, err := ichannels.RefineSweep(context.Background(), sw, ichannels.SweepOptions{BaseSeed: 1, Parallel: 8})
+	refined, err := ichannels.RunSweep(context.Background(), sw, ichannels.SweepOptions{BaseSeed: 1, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
