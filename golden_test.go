@@ -166,3 +166,27 @@ func TestGoldenFig14RefinedAggregate(t *testing.T) {
 	}{res.Aggregate, res.Refinement}
 	compareGolden(t, filepath.Join("testdata", "golden", "fig14_refined_aggregate.json"), indented(t, envelope))
 }
+
+// TestGoldenProtocols pins the result envelopes of every slot-protocol
+// path the other goldens leave out: the four baselines in role
+// baseline (one with a payload), the thread and smt kinds in role
+// channel, the smt and cores spies, a noisy cell and a coded-payload
+// cell. A change to any channel's slot timing, reading or decoder
+// fails here byte for byte.
+func TestGoldenProtocols(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("examples", "scenarios", "specs", "protocols.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, _, err := ichannels.ParseScenarioSpecs(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*ichannels.ScenarioResult, len(specs))
+	for i, s := range specs {
+		if results[i], err = ichannels.RunScenario(context.Background(), s); err != nil {
+			t.Fatalf("%s: %v", s.Describe(), err)
+		}
+	}
+	compareGolden(t, filepath.Join("testdata", "golden", "protocols_results.json"), indented(t, results))
+}
