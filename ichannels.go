@@ -148,7 +148,7 @@ const (
 type ChannelParams = core.Params
 
 // TransmitResult reports a covert transmission.
-type TransmitResult = core.TransmitResult
+type TransmitResult = core.Result
 
 // Spy is the §6.5 instruction-class-inference side channel.
 type Spy = core.Spy

@@ -1,6 +1,6 @@
-// Package baselines reimplements, on the same simulator substrate, the
-// four covert channels the paper compares against (§6.2, Fig. 12,
-// Table 2):
+// Package baselines declares, on the same simulator substrate and the
+// same core.Protocol slot protocol as IChannels, the four covert channels
+// the paper compares against (§6.2, Fig. 12, Table 2):
 //
 //   - NetSpectre [Schwarz+ ESORICS'19]: single-level AVX2 throttle
 //     side-effect on the same hardware thread — 1 bit per transaction.
@@ -20,46 +20,16 @@ package baselines
 import (
 	"fmt"
 
-	"ichannels/internal/stats"
-	"ichannels/internal/units"
+	"ichannels/internal/soc"
 )
 
-// Result reports one baseline transmission.
-type Result struct {
-	Name          string
-	SentBits      []int
-	DecodedBits   []int
-	BER           float64
-	ThroughputBPS float64
-	Elapsed       units.Duration
-}
-
-func finishResult(name string, sent, decoded []int, elapsed units.Duration) (*Result, error) {
-	if len(decoded) != len(sent) {
-		return nil, fmt.Errorf("baselines: %s decoded %d of %d bits (simulation ended early?)",
-			name, len(decoded), len(sent))
+// needTwoCores rejects a machine too small for a cross-core baseline.
+func needTwoCores(m *soc.Machine, name string) error {
+	if m == nil {
+		return fmt.Errorf("baselines: nil machine")
 	}
-	r := &Result{
-		Name:        name,
-		SentBits:    sent,
-		DecodedBits: decoded,
-		BER:         stats.BER(sent, decoded),
-		Elapsed:     elapsed,
-	}
-	if elapsed > 0 {
-		r.ThroughputBPS = float64(len(sent)) / elapsed.Seconds()
-	}
-	return r, nil
-}
-
-func validBits(bits []int) error {
-	if len(bits) == 0 {
-		return fmt.Errorf("baselines: empty bit stream")
-	}
-	for i, b := range bits {
-		if b&^1 != 0 {
-			return fmt.Errorf("baselines: non-bit value %d at index %d", b, i)
-		}
+	if len(m.Cores) < 2 {
+		return fmt.Errorf("baselines: %s needs two cores", name)
 	}
 	return nil
 }

@@ -1,188 +1,45 @@
 package baselines
 
 import (
-	"fmt"
-
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
-	"ichannels/internal/stats"
 	"ichannels/internal/units"
 )
 
-// DFScovert models Alagappan et al.'s governor-based covert channel: a
-// kernel-privileged sender modulates the DVFS governor's target frequency
-// (a sysfs write that the governor applies on its sampling period, tens of
-// milliseconds), and the receiver senses the package frequency with a
-// timed loop. Actuation latency limits it to ~20 b/s (paper Fig. 12(b)).
-type DFScovert struct {
-	m *soc.Machine
-	// BitPeriod is one bit window (must cover governor latency, the
-	// P-state transition, and detection).
-	BitPeriod units.Duration
-	// GovernorLatency is the delay between the sysfs write and the
-	// PMU seeing the new requested frequency.
-	GovernorLatency units.Duration
-	// LowFreq/HighFreq are the two operating points the sender toggles.
-	LowFreq, HighFreq units.Hertz
-	// MeasureIters sizes the receiver's scalar timing loop.
-	MeasureIters int64
-	// MeasureOffset places the measurement inside the bit window.
-	MeasureOffset units.Duration
-
-	threshold float64
-}
-
-// NewDFScovert builds the channel: sender actuation is software-only (no
-// core pinned); the receiver times loops on core 1.
-func NewDFScovert(m *soc.Machine) (*DFScovert, error) {
-	if m == nil {
-		return nil, fmt.Errorf("baselines: nil machine")
-	}
-	if len(m.Cores) < 2 {
-		return nil, fmt.Errorf("baselines: DFScovert needs two cores")
+// NewDFScovert declares Alagappan et al.'s governor-based covert channel:
+// a kernel-privileged sender modulates the DVFS governor's target
+// frequency between the base frequency and half of it (a sysfs write that
+// the governor applies 10 ms later, on its sampling period), and the
+// receiver on core 1 senses the package frequency with a timed loop 35 ms
+// into each 50 ms window. Actuation latency limits it to ~20 b/s (paper
+// Fig. 12(b)). The run ends by restoring the nominal operating point.
+func NewDFScovert(m *soc.Machine) (*core.Protocol, error) {
+	if err := needTwoCores(m, "DFScovert"); err != nil {
+		return nil, err
 	}
 	base := m.Proc.BaseFreq
-	return &DFScovert{
-		m:               m,
-		BitPeriod:       50 * units.Millisecond,
-		GovernorLatency: 10 * units.Millisecond,
-		LowFreq:         base / 2,
-		HighFreq:        base,
-		MeasureIters:    2000,
-		MeasureOffset:   35 * units.Millisecond,
+	governor := &core.DelayedWrite{
+		Latency: 10 * units.Millisecond,
+		Label:   "dfscovert.governor.apply",
+		Values:  [2]float64{float64(base), float64(base / 2)},
+		Apply:   func(m *soc.Machine, f float64) { m.PMU.SetRequestedFrequency(units.Hertz(f)) },
+	}
+	return &core.Protocol{
+		Name:          "dfscovert",
+		M:             m,
+		Lead:          50 * units.Microsecond,
+		Period:        50 * units.Millisecond,
+		Settle:        500 * units.Microsecond,
+		Restore:       governor.Restore,
+		RestoreFor:    2 * units.Millisecond,
+		Sender:        core.Thread{Core: 0, Slot: 0},
+		Receiver:      core.Thread{Core: 1, Slot: 0},
+		Offset:        35 * units.Millisecond,
+		ReceiverIters: 2000,
+		Send:          governor,
+		Read:          &core.Loop{Kernel: isa.Loop64b},
+		SlotBits:      1,
+		Contrast:      "frequency",
 	}, nil
-}
-
-// dfsSender issues one governor write per bit window.
-type dfsSender struct {
-	d    *DFScovert
-	base units.Time
-	bits []int
-	idx  int
-}
-
-func (a *dfsSender) Name() string { return "dfscovert.sender" }
-
-func (a *dfsSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if prev != nil {
-		// The spin to the window boundary completed: write the governor.
-		bit := a.bits[a.idx]
-		a.idx++
-		target := a.d.HighFreq
-		if bit == 1 {
-			target = a.d.LowFreq
-		}
-		env.M.Q.After(a.d.GovernorLatency, "dfscovert.governor.apply", func(units.Time) {
-			env.M.PMU.SetRequestedFrequency(target)
-		})
-	}
-	if a.idx >= len(a.bits) {
-		return soc.Stop()
-	}
-	return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.d.BitPeriod))
-}
-
-// dfsReceiver times a scalar loop at the measurement offset of each
-// window.
-type dfsReceiver struct {
-	d        *DFScovert
-	base     units.Time
-	windows  int
-	idx      int
-	phase    int
-	measures []int64
-}
-
-func (a *dfsReceiver) Name() string { return "dfscovert.receiver" }
-
-func (a *dfsReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			a.measures = append(a.measures, prev.ElapsedTSC())
-		}
-		if a.idx >= a.windows {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx)*a.d.BitPeriod + a.d.MeasureOffset))
-	case 1:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(isa.Loop64b, a.d.MeasureIters)
-	default:
-		panic("baselines: dfscovert receiver in invalid phase")
-	}
-}
-
-func (d *DFScovert) run(bits []int) ([]int64, error) {
-	base := d.m.Now().Add(50 * units.Microsecond)
-	snd := &dfsSender{d: d, base: base, bits: bits}
-	rcv := &dfsReceiver{d: d, base: base, windows: len(bits),
-		measures: make([]int64, 0, len(bits))}
-	if _, err := d.m.Bind(0, 0, snd); err != nil {
-		return nil, err
-	}
-	if _, err := d.m.Bind(1, 0, rcv); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(bits)) * d.BitPeriod).Add(time500us)
-	d.m.RunUntil(end)
-	// Restore the nominal operating point for whatever runs next.
-	d.m.PMU.SetRequestedFrequency(d.HighFreq)
-	d.m.RunFor(2 * units.Millisecond)
-	if len(rcv.measures) != len(bits) {
-		return nil, fmt.Errorf("baselines: dfscovert measured %d of %d bits", len(rcv.measures), len(bits))
-	}
-	return rcv.measures, nil
-}
-
-// Calibrate learns the fast/slow decision threshold.
-func (d *DFScovert) Calibrate(pairs int) error {
-	if pairs <= 0 {
-		return fmt.Errorf("baselines: pairs must be positive")
-	}
-	bits := make([]int, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		bits = append(bits, 1, 0)
-	}
-	measures, err := d.run(bits)
-	if err != nil {
-		return err
-	}
-	var ones, zeros []float64
-	for i, m := range measures {
-		if bits[i] == 1 {
-			ones = append(ones, float64(m))
-		} else {
-			zeros = append(zeros, float64(m))
-		}
-	}
-	mo, mz := stats.Summarize(ones).Mean, stats.Summarize(zeros).Mean
-	if mo <= mz {
-		return fmt.Errorf("baselines: dfscovert calibration found no frequency contrast")
-	}
-	d.threshold = (mo + mz) / 2
-	return nil
-}
-
-// Transmit sends bits (1 bit per window) and decodes them.
-func (d *DFScovert) Transmit(bits []int) (*Result, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if d.threshold == 0 {
-		return nil, fmt.Errorf("baselines: dfscovert not calibrated")
-	}
-	measures, err := d.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([]int, len(measures))
-	for i, m := range measures {
-		if float64(m) > d.threshold {
-			decoded[i] = 1
-		}
-	}
-	return finishResult("DFScovert", bits, decoded, units.Duration(len(bits))*d.BitPeriod)
 }

@@ -3,152 +3,39 @@ package baselines
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
 )
 
-// NetSpectre models the paper's comparison point for IccThreadCovert: the
-// NetSpectre AVX-based gadget (§3, §6.2). The sender leaks one bit per
-// transaction by either executing an AVX2 instruction (bit 1) or not
-// (bit 0); the receiver then times its own AVX2 loop. A set bit leaves
-// the voltage pre-ramped, so the measurement is fast; a clear bit makes
-// the measurement pay the full throttling period. Single-level decoding →
-// one bit per reset-time cycle, half of IccThreadCovert's rate.
-type NetSpectre struct {
-	m *soc.Machine
-	// SlotPeriod is the transaction cycle (reset-time + send window).
-	SlotPeriod units.Duration
-	// TriggerIters sizes the bit-1 AVX2 burst; it must outlast the
-	// voltage ramp so the later measurement sees a settled guardband.
-	TriggerIters int64
-	// MeasureIters sizes the timed AVX2 loop.
-	MeasureIters int64
-
-	threshold float64
-	core      int
-	slot      int
-}
-
-// NewNetSpectre builds the gadget on core 0 of m.
-func NewNetSpectre(m *soc.Machine) (*NetSpectre, error) {
+// NewNetSpectre declares the paper's comparison point for
+// IccThreadCovert, the NetSpectre AVX-based gadget (§3, §6.2), on core 0
+// of m. The sender leaks one bit per transaction by either executing an
+// AVX2 burst (bit 1) or not (bit 0); on the same thread the receiver then
+// times its own AVX2 loop. A set bit leaves the voltage pre-ramped, so the
+// measurement is fast; a clear bit makes the measurement pay the full
+// throttling period — the channel decodes inverted. Single-level decoding
+// gives one bit per reset-time cycle, half of IccThreadCovert's rate.
+//
+// SenderIters sizes the bit-1 burst; it must outlast the voltage ramp so
+// the later measurement sees a settled guardband.
+func NewNetSpectre(m *soc.Machine) (*core.Protocol, error) {
 	if m == nil {
 		return nil, fmt.Errorf("baselines: nil machine")
 	}
-	return &NetSpectre{
-		m:            m,
-		SlotPeriod:   m.Proc.LicenseHysteresis + 40*units.Microsecond,
-		TriggerIters: 64,
-		MeasureIters: 48,
+	return &core.Protocol{
+		Name:          "netspectre",
+		M:             m,
+		Lead:          20 * units.Microsecond,
+		Period:        m.Proc.LicenseHysteresis + 40*units.Microsecond,
+		Settle:        100 * units.Microsecond,
+		SenderIters:   64,
+		ReceiverIters: 48,
+		Send:          &core.Burst{Kernel: isa.Loop256Heavy},
+		Read:          &core.Loop{Kernel: isa.Loop256Heavy},
+		SlotBits:      1,
+		Inverted:      true,
+		Contrast:      "throttle",
 	}, nil
-}
-
-// nsAgent drives one transmission of the NetSpectre gadget.
-type nsAgent struct {
-	ns       *NetSpectre
-	base     units.Time
-	bits     []int
-	idx      int
-	phase    int // 0 wait, 1 send, 2 awaiting-trigger, 3 awaiting-measure
-	measures []int64
-}
-
-func (a *nsAgent) Name() string { return "netspectre" }
-
-func (a *nsAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0: // slot boundary
-		if a.idx >= len(a.bits) {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.ns.SlotPeriod))
-	case 1: // start of slot: trigger on bit 1, else measure directly
-		bit := a.bits[a.idx]
-		a.idx++
-		if bit == 1 {
-			// The leak gadget executes its AVX2 instruction(s).
-			a.phase = 2
-			return soc.Exec(isa.Loop256Heavy, a.ns.TriggerIters)
-		}
-		a.phase = 3
-		return soc.Exec(isa.Loop256Heavy, a.ns.MeasureIters)
-	case 2: // trigger finished: measure
-		a.phase = 3
-		return soc.Exec(isa.Loop256Heavy, a.ns.MeasureIters)
-	case 3: // measurement finished: record and wait for the next slot
-		a.measures = append(a.measures, prev.ElapsedTSC())
-		a.phase = 0
-		return a.Next(env, nil)
-	default:
-		panic("baselines: netspectre agent in invalid phase")
-	}
-}
-
-// run transmits raw bits and returns per-bit measurement cycles.
-func (n *NetSpectre) run(bits []int) ([]int64, error) {
-	base := n.m.Now().Add(20 * units.Microsecond)
-	agent := &nsAgent{ns: n, base: base, bits: bits,
-		measures: make([]int64, 0, len(bits))}
-	if _, err := n.m.Bind(n.core, n.slot, agent); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(bits)) * n.SlotPeriod).Add(100 * units.Microsecond)
-	n.m.RunUntil(end)
-	if len(agent.measures) != len(bits) {
-		return nil, fmt.Errorf("baselines: netspectre measured %d of %d bits", len(agent.measures), len(bits))
-	}
-	return agent.measures, nil
-}
-
-// Calibrate learns the warm/cold decision threshold from n known 1/0
-// transaction pairs.
-func (n *NetSpectre) Calibrate(pairs int) error {
-	if pairs <= 0 {
-		return fmt.Errorf("baselines: pairs must be positive")
-	}
-	bits := make([]int, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		bits = append(bits, 1, 0)
-	}
-	measures, err := n.run(bits)
-	if err != nil {
-		return err
-	}
-	var warm, cold float64
-	for i, m := range measures {
-		if bits[i] == 1 {
-			warm += float64(m)
-		} else {
-			cold += float64(m)
-		}
-	}
-	warm /= float64(pairs)
-	cold /= float64(pairs)
-	if cold <= warm {
-		return fmt.Errorf("baselines: netspectre calibration found no throttle contrast (warm=%g cold=%g)", warm, cold)
-	}
-	n.threshold = (warm + cold) / 2
-	return nil
-}
-
-// Transmit sends bits (1 bit per transaction) and decodes them.
-func (n *NetSpectre) Transmit(bits []int) (*Result, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if n.threshold == 0 {
-		return nil, fmt.Errorf("baselines: netspectre not calibrated")
-	}
-	measures, err := n.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([]int, len(measures))
-	for i, m := range measures {
-		if float64(m) < n.threshold {
-			decoded[i] = 1 // warm → AVX was executed → bit 1
-		}
-	}
-	return finishResult("NetSpectre", bits, decoded, units.Duration(len(bits))*n.SlotPeriod)
 }

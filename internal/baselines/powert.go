@@ -1,196 +1,69 @@
 package baselines
 
 import (
-	"fmt"
-
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
-	"ichannels/internal/stats"
 	"ichannels/internal/units"
 )
 
-// PowerT models Khatamifard et al.'s POWERT channel: the sender modulates
-// the package's power/thermal state (here: die-stage junction temperature)
-// by running a power virus, and the receiver polls the thermal sensor. The
-// bit period rides the die thermal time constant (~15 ms), giving the
+// NewPowerT declares Khatamifard et al.'s POWERT channel: the sender on
+// core 0 modulates the package's power/thermal state (here: die-stage
+// junction temperature) by running a power virus for 60% of a 1-window,
+// and the receiver on core 1 polls the thermal sensor every 500 µs. The
+// 8.2 ms bit period rides the die thermal time constant, giving the
 // ~122 b/s the paper quotes — still 24× below IChannels.
-type PowerT struct {
-	m *soc.Machine
-	// BitPeriod is one bit window.
-	BitPeriod units.Duration
-	// HeatFraction is the fraction of the window the sender heats for a
-	// 1 bit.
-	HeatFraction float64
-	// PollInterval is the receiver's thermal-sensor polling period.
-	PollInterval units.Duration
-
-	threshold float64
-}
-
-// NewPowerT builds the channel with sender on core 0 and receiver polling
-// from core 1.
-func NewPowerT(m *soc.Machine) (*PowerT, error) {
-	if m == nil {
-		return nil, fmt.Errorf("baselines: nil machine")
+func NewPowerT(m *soc.Machine) (*core.Protocol, error) {
+	if err := needTwoCores(m, "PowerT"); err != nil {
+		return nil, err
 	}
-	if len(m.Cores) < 2 {
-		return nil, fmt.Errorf("baselines: PowerT needs two cores")
-	}
-	return &PowerT{
-		m:            m,
-		BitPeriod:    8200 * units.Microsecond, // ≈122 b/s
-		HeatFraction: 0.6,
-		PollInterval: 500 * units.Microsecond,
+	return &core.Protocol{
+		Name:     "powert",
+		M:        m,
+		Lead:     50 * units.Microsecond,
+		Period:   8200 * units.Microsecond, // ≈122 b/s
+		Settle:   500 * units.Microsecond,
+		Sender:   core.Thread{Core: 0, Slot: 0},
+		Receiver: core.Thread{Core: 1, Slot: 0},
+		Send:     heater{fraction: 0.6},
+		Read:     &thermometer{poll: 500 * units.Microsecond},
+		SlotBits: 1,
+		Contrast: "thermal",
 	}, nil
 }
 
-// ptSender runs the heater burst for 1 bits.
-type ptSender struct {
-	pt   *PowerT
-	base units.Time
-	bits []int
-	idx  int
-	sent bool
+// heater runs the power virus through the given fraction of a 1-window.
+type heater struct{ fraction float64 }
+
+func (h heater) Send(s *core.Slot) (soc.Action, bool) {
+	if s.Step > 0 || s.Sym == 0 {
+		return soc.Action{}, true
+	}
+	heat := units.Duration(float64(s.P.Period) * h.fraction)
+	// Size the virus loop to roughly fill the heating window.
+	freq := s.Env.M.PMU.Frequency()
+	k := isa.Loop256Heavy
+	iters := int64(heat.Seconds()*float64(freq)/float64(k.UopsPerIter)) + 1
+	return soc.Exec(k, iters), false
 }
 
-func (a *ptSender) Name() string { return "powert.sender" }
-
-func (a *ptSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if !a.sent {
-		if a.idx >= len(a.bits) {
-			return soc.Stop()
-		}
-		a.sent = true
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.pt.BitPeriod))
-	}
-	bit := a.bits[a.idx]
-	a.idx++
-	a.sent = false
-	if bit == 1 {
-		heat := units.Duration(float64(a.pt.BitPeriod) * a.pt.HeatFraction)
-		// Size the virus loop to roughly fill the heating window.
-		freq := env.M.PMU.Frequency()
-		k := isa.Loop256Heavy
-		iters := int64(heat.Seconds()*float64(freq)/float64(k.UopsPerIter)) + 1
-		return soc.Exec(k, iters)
-	}
-	return a.Next(env, nil)
+// thermometer polls the thermal sensor through each window; its reading
+// is the peak rise over the window's first poll (robust to tail-end
+// cooling).
+type thermometer struct {
+	poll        units.Duration
+	start, peak float64
 }
 
-// ptReceiver polls the thermal sensor through each window and records the
-// start→end temperature delta.
-type ptReceiver struct {
-	pt      *PowerT
-	base    units.Time
-	windows int
-	idx     int
-	polls   int
-	tStart  float64
-	tMax    float64
-	deltas  []float64
-	phase   int // 0 wait-window, 1 polling
-}
-
-func (a *ptReceiver) Name() string { return "powert.receiver" }
-
-func (a *ptReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if a.idx >= a.windows {
-			return soc.Stop()
-		}
-		a.phase = 1
-		a.polls = 0
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.pt.BitPeriod))
-	case 1:
-		temp := float64(env.M.ProbeScalars().Temp)
-		if a.polls == 0 {
-			a.tStart = temp
-			a.tMax = temp
-		} else if temp > a.tMax {
-			a.tMax = temp
-		}
-		a.polls++
-		windowEnd := a.base.Add(units.Duration(a.idx+1) * a.pt.BitPeriod)
-		nextPoll := env.Now().Add(a.pt.PollInterval)
-		if nextPoll.Add(a.pt.PollInterval/2) >= windowEnd {
-			// Last poll of the window: decode on the peak rise over the
-			// window (robust to tail-end cooling).
-			a.deltas = append(a.deltas, a.tMax-a.tStart)
-			a.idx++
-			a.phase = 0
-			return a.Next(env, nil)
-		}
-		return soc.IdleFor(a.pt.PollInterval)
-	default:
-		panic("baselines: powert receiver in invalid phase")
+func (t *thermometer) Read(s *core.Slot, _ *soc.Result) (soc.Action, float64, bool) {
+	temp := float64(s.Env.M.ProbeScalars().Temp)
+	if s.Step == 0 {
+		t.start, t.peak = temp, temp
+	} else if temp > t.peak {
+		t.peak = temp
 	}
-}
-
-func (p *PowerT) run(bits []int) ([]float64, error) {
-	base := p.m.Now().Add(50 * units.Microsecond)
-	snd := &ptSender{pt: p, base: base, bits: bits}
-	rcv := &ptReceiver{pt: p, base: base, windows: len(bits)}
-	if _, err := p.m.Bind(0, 0, snd); err != nil {
-		return nil, err
+	if s.Env.Now().Add(t.poll).Add(t.poll/2) >= s.End {
+		return soc.Action{}, t.peak - t.start, true
 	}
-	if _, err := p.m.Bind(1, 0, rcv); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(bits)) * p.BitPeriod).Add(time500us)
-	p.m.RunUntil(end)
-	if len(rcv.deltas) != len(bits) {
-		return nil, fmt.Errorf("baselines: powert measured %d of %d bits", len(rcv.deltas), len(bits))
-	}
-	return rcv.deltas, nil
-}
-
-// Calibrate learns the heat/no-heat decision threshold.
-func (p *PowerT) Calibrate(pairs int) error {
-	if pairs <= 0 {
-		return fmt.Errorf("baselines: pairs must be positive")
-	}
-	bits := make([]int, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		bits = append(bits, 1, 0)
-	}
-	deltas, err := p.run(bits)
-	if err != nil {
-		return err
-	}
-	var ones, zeros []float64
-	for i, d := range deltas {
-		if bits[i] == 1 {
-			ones = append(ones, d)
-		} else {
-			zeros = append(zeros, d)
-		}
-	}
-	mo, mz := stats.Summarize(ones).Mean, stats.Summarize(zeros).Mean
-	if mo <= mz {
-		return fmt.Errorf("baselines: powert calibration found no thermal contrast (1→%g°C, 0→%g°C)", mo, mz)
-	}
-	p.threshold = (mo + mz) / 2
-	return nil
-}
-
-// Transmit sends bits (1 bit per window) and decodes them.
-func (p *PowerT) Transmit(bits []int) (*Result, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if p.threshold == 0 {
-		return nil, fmt.Errorf("baselines: powert not calibrated")
-	}
-	deltas, err := p.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([]int, len(deltas))
-	for i, d := range deltas {
-		if d > p.threshold {
-			decoded[i] = 1
-		}
-	}
-	return finishResult("PowerT", bits, decoded, units.Duration(len(bits))*p.BitPeriod)
+	return soc.IdleFor(t.poll), 0, false
 }

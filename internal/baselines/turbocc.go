@@ -1,193 +1,49 @@
 package baselines
 
 import (
-	"fmt"
-
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
-	"ichannels/internal/stats"
 	"ichannels/internal/units"
 )
 
-// TurboCC models Kalmbach et al.'s cross-core frequency covert channel:
-// the sender executes PHIs at Turbo so the Iccmax/Vccmax protection drops
-// the (package-wide) clock; the receiver times a scalar loop to detect the
-// lower frequency. The bit period is dominated by the PMU's slow
-// frequency-restore hysteresis (tens of milliseconds), which is why the
-// paper measures TurboCC at 61 b/s — nearly 50× below IChannels (§6.2).
+// NewTurboCC declares Kalmbach et al.'s cross-core frequency covert
+// channel: the sender on core 0 executes PHIs at Turbo so the
+// Iccmax/Vccmax protection drops the (package-wide) clock; the receiver
+// on core 1 times a scalar loop mid-window to detect the lower frequency,
+// and spins between measurements so the package's active-core count —
+// and with it the current budget — stays constant. The bit period is
+// dominated by the PMU's slow frequency-restore hysteresis (tens of
+// milliseconds), which is why the paper measures TurboCC at 61 b/s —
+// nearly 50× below IChannels (§6.2).
 //
 // The machine must be configured at a Turbo operating point where the
 // sender's PHI class trips a protection limit (e.g. Cannon Lake at
 // 3.1 GHz with a 512b_Heavy sender).
-type TurboCC struct {
-	m *soc.Machine
-	// BitPeriod is one bit window; it must cover downshift, detection,
-	// and frequency restoration.
-	BitPeriod units.Duration
-	// SenderIters sizes the PHI burst that trips the limit.
-	SenderIters int64
-	// MeasureIters sizes the receiver's scalar timing loop.
-	MeasureIters int64
-	// MeasureOffset places the measurement inside the bit window, after
-	// the downshift has surely happened but before restoration.
-	MeasureOffset units.Duration
-
-	threshold float64
-}
-
-// NewTurboCC builds the channel with sender on core 0 and receiver on
-// core 1.
-func NewTurboCC(m *soc.Machine) (*TurboCC, error) {
-	if m == nil {
-		return nil, fmt.Errorf("baselines: nil machine")
+func NewTurboCC(m *soc.Machine) (*core.Protocol, error) {
+	if err := needTwoCores(m, "TurboCC"); err != nil {
+		return nil, err
 	}
-	if len(m.Cores) < 2 {
-		return nil, fmt.Errorf("baselines: TurboCC needs two cores")
+	k := isa.Loop512Heavy
+	if !m.Proc.HasAVX512 {
+		k = isa.Loop256Heavy
 	}
-	restore := m.Proc.FreqRestoreDelay
-	return &TurboCC{
-		m:             m,
-		BitPeriod:     restore + 1400*units.Microsecond,
+	return &core.Protocol{
+		Name:   "turbocc",
+		M:      m,
+		Lead:   50 * units.Microsecond,
+		Period: m.Proc.FreqRestoreDelay + 1400*units.Microsecond,
+		Settle: 500 * units.Microsecond,
+		// Sender on core 0, receiver on core 1; the measurement lands
+		// after the downshift has surely happened but before restoration.
+		Sender:        core.Thread{Core: 0, Slot: 0},
+		Receiver:      core.Thread{Core: 1, Slot: 0},
+		Offset:        4 * units.Millisecond,
 		SenderIters:   12000, // ≈1.7 ms of 512b_Heavy at ~1 UPC / 2.9 GHz
-		MeasureIters:  2000,  // ≈130 µs scalar timing loop
-		MeasureOffset: 4 * units.Millisecond,
+		ReceiverIters: 2000,  // ≈130 µs scalar timing loop
+		Send:          &core.Burst{Kernel: k},
+		Read:          &core.Loop{Kernel: isa.Loop64b},
+		SlotBits:      1,
+		Contrast:      "Turbo-frequency",
 	}, nil
-}
-
-// tcSender holds the PHI burst at each 1-bit window start.
-type tcSender struct {
-	tc   *TurboCC
-	base units.Time
-	bits []int
-	idx  int
-	sent bool
-}
-
-func (a *tcSender) Name() string { return "turbocc.sender" }
-
-func (a *tcSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if !a.sent {
-		if a.idx >= len(a.bits) {
-			return soc.Stop()
-		}
-		a.sent = true
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.tc.BitPeriod))
-	}
-	bit := a.bits[a.idx]
-	a.idx++
-	a.sent = false
-	if bit == 1 {
-		k := isa.Loop512Heavy
-		if !a.tc.m.Proc.HasAVX512 {
-			k = isa.Loop256Heavy
-		}
-		return soc.Exec(k, a.tc.SenderIters)
-	}
-	// Bit 0: stay scalar; the clock keeps its Turbo bin.
-	return a.Next(env, nil)
-}
-
-// tcReceiver times a scalar loop mid-window; it spins (stays busy)
-// between measurements so the package's active-core count — and with it
-// the current budget — stays constant.
-type tcReceiver struct {
-	tc       *TurboCC
-	base     units.Time
-	windows  int
-	idx      int
-	phase    int // 0 spin to offset, 1 measuring
-	measures []int64
-}
-
-func (a *tcReceiver) Name() string { return "turbocc.receiver" }
-
-func (a *tcReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			a.measures = append(a.measures, prev.ElapsedTSC())
-		}
-		if a.idx >= a.windows {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx)*a.tc.BitPeriod + a.tc.MeasureOffset))
-	case 1:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(isa.Loop64b, a.tc.MeasureIters)
-	default:
-		panic("baselines: turbocc receiver in invalid phase")
-	}
-}
-
-func (t *TurboCC) run(bits []int) ([]int64, error) {
-	base := t.m.Now().Add(50 * units.Microsecond)
-	snd := &tcSender{tc: t, base: base, bits: bits}
-	rcv := &tcReceiver{tc: t, base: base, windows: len(bits),
-		measures: make([]int64, 0, len(bits))}
-	if _, err := t.m.Bind(0, 0, snd); err != nil {
-		return nil, err
-	}
-	if _, err := t.m.Bind(1, 0, rcv); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(bits)) * t.BitPeriod).Add(time500us)
-	t.m.RunUntil(end)
-	if len(rcv.measures) != len(bits) {
-		return nil, fmt.Errorf("baselines: turbocc measured %d of %d bits", len(rcv.measures), len(bits))
-	}
-	return rcv.measures, nil
-}
-
-const time500us = 500 * units.Microsecond
-
-// Calibrate learns the fast/slow decision threshold.
-func (t *TurboCC) Calibrate(pairs int) error {
-	if pairs <= 0 {
-		return fmt.Errorf("baselines: pairs must be positive")
-	}
-	bits := make([]int, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		bits = append(bits, 1, 0)
-	}
-	measures, err := t.run(bits)
-	if err != nil {
-		return err
-	}
-	var ones, zeros []float64
-	for i, m := range measures {
-		if bits[i] == 1 {
-			ones = append(ones, float64(m))
-		} else {
-			zeros = append(zeros, float64(m))
-		}
-	}
-	mo, mz := stats.Summarize(ones).Mean, stats.Summarize(zeros).Mean
-	if mo <= mz {
-		return fmt.Errorf("baselines: turbocc calibration found no frequency contrast (1→%g, 0→%g); is the machine at a Turbo operating point?", mo, mz)
-	}
-	t.threshold = (mo + mz) / 2
-	return nil
-}
-
-// Transmit sends bits (1 bit per window) and decodes them.
-func (t *TurboCC) Transmit(bits []int) (*Result, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if t.threshold == 0 {
-		return nil, fmt.Errorf("baselines: turbocc not calibrated")
-	}
-	measures, err := t.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([]int, len(measures))
-	for i, m := range measures {
-		if float64(m) > t.threshold {
-			decoded[i] = 1 // slower loop → lower frequency → PHI burst
-		}
-	}
-	return finishResult("TurboCC", bits, decoded, units.Duration(len(bits))*t.BitPeriod)
 }

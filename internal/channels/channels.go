@@ -1,8 +1,10 @@
-// Package channels implements covert channels beyond the paper's
-// current-management family. Each channel here is registered as a
-// first-class scenario kind in internal/scenario, so it is reachable from
-// every surface (CLI, HTTP, sweeps, refinement, store, distributed tier)
-// without surface-specific code.
+// Package channels declares the covert channels beyond the paper's
+// current-management family, each as a core.Protocol: its slot schedule,
+// its sender's per-slot step, its receiver's per-slot reading and its
+// decoder rule. Each is registered as a first-class scenario kind in
+// internal/scenario, so it is reachable from every surface (CLI, HTTP,
+// sweeps, refinement, store, distributed tier) without surface-specific
+// code.
 //
 // Two families live here today:
 //
@@ -18,91 +20,3 @@
 //     each bit window, the windowed decode shared with the TurboCC and
 //     DFScovert frequency baselines.
 package channels
-
-import (
-	"fmt"
-
-	"ichannels/internal/stats"
-	"ichannels/internal/units"
-)
-
-// Result reports one covert transmission over a channel in this package.
-type Result struct {
-	SentBits    []int
-	DecodedBits []int
-	// BER is the bit error rate.
-	BER float64
-	// ThroughputBPS is raw bits transmitted per second of channel time.
-	ThroughputBPS float64
-	// SymbolErrors counts wrongly decoded slots (1 bit per slot here, so
-	// this equals the number of bit errors).
-	SymbolErrors int
-	// Elapsed is the wall time of the whole transmission.
-	Elapsed units.Duration
-}
-
-// validBits rejects empty streams and non-binary values.
-func validBits(bits []int) error {
-	if len(bits) == 0 {
-		return fmt.Errorf("channels: empty bit stream")
-	}
-	for i, b := range bits {
-		if b != 0 && b != 1 {
-			return fmt.Errorf("channels: bit %d is %d, want 0 or 1", i, b)
-		}
-	}
-	return nil
-}
-
-// alternating builds the 1,0 calibration pattern used by both families.
-func alternating(pairs int) []int {
-	bits := make([]int, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		bits = append(bits, 1, 0)
-	}
-	return bits
-}
-
-// learnThreshold splits the calibration measurements by the known sent bit
-// and returns the midpoint threshold and the one/zero mean gap. what names
-// the physical contrast for the error message.
-func learnThreshold(bits []int, measures []float64, what string) (threshold, gap float64, err error) {
-	var ones, zeros []float64
-	for i, m := range measures {
-		if bits[i] == 1 {
-			ones = append(ones, m)
-		} else {
-			zeros = append(zeros, m)
-		}
-	}
-	mo, mz := stats.Summarize(ones).Mean, stats.Summarize(zeros).Mean
-	if mo <= mz {
-		return 0, 0, fmt.Errorf("channels: calibration found no %s contrast", what)
-	}
-	return (mo + mz) / 2, mo - mz, nil
-}
-
-// finish decodes measures against threshold and assembles the Result.
-func finish(sent []int, measures []float64, threshold float64, elapsed units.Duration) *Result {
-	decoded := make([]int, len(measures))
-	for i, m := range measures {
-		if m > threshold {
-			decoded[i] = 1
-		}
-	}
-	res := &Result{
-		SentBits:    sent,
-		DecodedBits: decoded,
-		BER:         stats.BER(sent, decoded),
-		Elapsed:     elapsed,
-	}
-	for i := range sent {
-		if sent[i] != decoded[i] {
-			res.SymbolErrors++
-		}
-	}
-	if elapsed > 0 {
-		res.ThroughputBPS = float64(len(sent)) / elapsed.Seconds()
-	}
-	return res
-}

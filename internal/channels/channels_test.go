@@ -141,13 +141,20 @@ func TestChannelsFasterThanDVFSBaselines(t *testing.T) {
 }
 
 func TestValidBitsRejectsJunk(t *testing.T) {
-	if err := validBits(nil); err == nil {
+	r, err := NewRetire(machine(t, model.CannonLake8121U(), 2.2*units.GHz, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Calibrate(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Transmit(nil); err == nil {
 		t.Fatal("empty accepted")
 	}
-	if err := validBits([]int{0, 1, 2}); err == nil {
+	if _, err := r.Transmit([]int{0, 1, 2}); err == nil {
 		t.Fatal("non-bit accepted")
 	}
-	if err := validBits([]int{0, 1, 1}); err != nil {
+	if _, err := r.Transmit([]int{0, 1, 1}); err != nil {
 		t.Fatalf("valid bits rejected: %v", err)
 	}
 }

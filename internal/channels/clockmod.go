@@ -3,197 +3,52 @@ package channels
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
 )
 
-// ClockMod is a clock-modulation covert channel (arXiv 2404.05823): the
-// sender programs the package duty cycle (IA32_CLOCK_MODULATION T-states)
-// once per bit window — 1 gates the front-end to DutyLow, 0 restores full
-// delivery — and the receiver times a fixed scalar loop inside each window.
-// Unlike the DVFS carriers (TurboCC, DFScovert) duty changes take effect
-// with MSR-write latency rather than governor sampling plus PLL relock, so
-// the bit period is microseconds, not tens of milliseconds; the decode is
-// the same windowed threshold those baselines use.
-type ClockMod struct {
-	m *soc.Machine
-	// BitPeriod is one bit window.
-	BitPeriod units.Duration
-	// ActuationLatency is the delay between the sender's MSR write and
-	// the duty change reaching the cores.
-	ActuationLatency units.Duration
-	// DutyLow is the modulated duty cycle encoding a 1 (in (0,1)).
-	DutyLow float64
-	// MeasureIters sizes the receiver's scalar timing loop.
-	MeasureIters int64
-	// MeasureOffset places the measurement inside the bit window.
-	MeasureOffset units.Duration
-	// The receiver times loops on its own core; the sender is a software
-	// actor that only needs a thread to spin on.
-	SenderCore, SenderSlot     int
-	ReceiverCore, ReceiverSlot int
-
-	threshold float64
-}
-
-// NewClockMod builds the channel: sender on core 0, receiver timing on
-// core 1 (duty modulation is package-wide, so any second core works).
-func NewClockMod(m *soc.Machine) (*ClockMod, error) {
+// NewClockMod declares a clock-modulation covert channel
+// (arXiv 2404.05823): the sender programs the package duty cycle
+// (IA32_CLOCK_MODULATION T-states) once per 120 µs bit window — 1 gates
+// the front-end to quarter duty, 0 restores full delivery — and the
+// receiver times a fixed scalar loop 10 µs into each window. Unlike the
+// DVFS carriers (TurboCC, DFScovert) duty changes take effect with a
+// 2 µs MSR-write latency rather than governor sampling plus PLL relock,
+// so the bit period is microseconds, not tens of milliseconds; the decode
+// is the same windowed threshold those baselines use. The sender is a
+// software actor on core 0 with no loop to size; the receiver times on
+// core 1 (duty modulation is package-wide, so any second core works), and
+// the run ends by restoring full duty.
+func NewClockMod(m *soc.Machine) (*core.Protocol, error) {
 	if m == nil {
 		return nil, fmt.Errorf("channels: nil machine")
 	}
 	if len(m.Cores) < 2 {
 		return nil, fmt.Errorf("channels: clockmod channel needs two cores")
 	}
-	return &ClockMod{
-		m:                m,
-		BitPeriod:        120 * units.Microsecond,
-		ActuationLatency: 2 * units.Microsecond,
-		DutyLow:          0.25,
-		MeasureIters:     200,
-		MeasureOffset:    10 * units.Microsecond,
-		SenderCore:       0, SenderSlot: 0,
-		ReceiverCore: 1, ReceiverSlot: 0,
+	duty := &core.DelayedWrite{
+		Latency: 2 * units.Microsecond,
+		Label:   "clockmod.duty.apply",
+		Values:  [2]float64{1, 0.25},
+		Apply:   func(m *soc.Machine, d float64) { m.PMU.SetClockDuty(d) },
+	}
+	return &core.Protocol{
+		Name:          "clockmod",
+		M:             m,
+		Lead:          50 * units.Microsecond,
+		Period:        120 * units.Microsecond,
+		Settle:        100 * units.Microsecond,
+		Restore:       duty.Restore,
+		RestoreFor:    100 * units.Microsecond,
+		Sender:        core.Thread{Core: 0, Slot: 0},
+		Receiver:      core.Thread{Core: 1, Slot: 0},
+		Offset:        10 * units.Microsecond,
+		ReceiverIters: 200,
+		Send:          duty,
+		Read:          &core.Loop{Kernel: isa.Loop64b},
+		SlotBits:      1,
+		Contrast:      "duty-cycle",
 	}, nil
-}
-
-// cmSender issues one duty-cycle write per bit window. A write reaches
-// the cores ActuationLatency later; writes land in the order they were
-// issued, so the targets in flight wait in a FIFO that one bound apply
-// callback drains, keeping each bit free of closure allocations.
-type cmSender struct {
-	c       *ClockMod
-	base    units.Time
-	bits    []int
-	idx     int
-	pending []float64        // duty targets written but not yet applied, oldest first
-	apply   func(units.Time) // applyOldest, bound once
-}
-
-func (a *cmSender) applyOldest(units.Time) {
-	d := a.pending[0]
-	n := copy(a.pending, a.pending[1:])
-	a.pending = a.pending[:n]
-	a.c.m.PMU.SetClockDuty(d)
-}
-
-func (a *cmSender) Name() string { return "clockmod.sender" }
-
-func (a *cmSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if prev != nil {
-		// The spin to the window boundary completed: write the MSR.
-		bit := a.bits[a.idx]
-		a.idx++
-		target := 1.0
-		if bit == 1 {
-			target = a.c.DutyLow
-		}
-		a.pending = append(a.pending, target)
-		env.M.Q.After(a.c.ActuationLatency, "clockmod.duty.apply", a.apply)
-	}
-	if a.idx >= len(a.bits) {
-		return soc.Stop()
-	}
-	return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.c.BitPeriod))
-}
-
-// cmReceiver times a scalar loop at the measurement offset of each window.
-type cmReceiver struct {
-	c        *ClockMod
-	base     units.Time
-	windows  int
-	idx      int
-	phase    int // 0 wait, 1 measure
-	measures []float64
-}
-
-func (a *cmReceiver) Name() string { return "clockmod.receiver" }
-
-func (a *cmReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			a.measures = append(a.measures, float64(prev.ElapsedTSC()))
-		}
-		if a.idx >= a.windows {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx)*a.c.BitPeriod + a.c.MeasureOffset))
-	case 1:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(isa.Loop64b, a.c.MeasureIters)
-	default:
-		panic("channels: clockmod receiver in invalid phase")
-	}
-}
-
-func (c *ClockMod) run(bits []int) ([]float64, error) {
-	base := c.m.Now().Add(50 * units.Microsecond)
-	snd := &cmSender{c: c, base: base, bits: bits}
-	snd.apply = snd.applyOldest
-	rcv := &cmReceiver{c: c, base: base, windows: len(bits),
-		measures: make([]float64, 0, len(bits))}
-	if _, err := c.m.Bind(c.SenderCore, c.SenderSlot, snd); err != nil {
-		return nil, err
-	}
-	if _, err := c.m.Bind(c.ReceiverCore, c.ReceiverSlot, rcv); err != nil {
-		return nil, err
-	}
-	end := c.windowStart(base, len(bits)).Add(100 * units.Microsecond)
-	c.m.RunUntil(end)
-	// Restore full duty for whatever runs next on this machine.
-	c.m.PMU.SetClockDuty(1)
-	c.m.RunFor(100 * units.Microsecond)
-	if len(rcv.measures) != len(bits) {
-		return nil, fmt.Errorf("channels: clockmod measured %d of %d bits (simulation ended early?)",
-			len(rcv.measures), len(bits))
-	}
-	return rcv.measures, nil
-}
-
-func (c *ClockMod) windowStart(base units.Time, k int) units.Time {
-	return base.Add(units.Duration(k) * c.BitPeriod)
-}
-
-// Calibrate learns the modulated/unmodulated decision threshold from
-// alternating 1,0 pairs and returns the mean TSC-cycle gap between them.
-func (c *ClockMod) Calibrate(pairs int) (float64, error) {
-	if pairs <= 0 {
-		return 0, fmt.Errorf("channels: pairs must be positive")
-	}
-	bits := alternating(pairs)
-	measures, err := c.run(bits)
-	if err != nil {
-		return 0, err
-	}
-	threshold, gap, err := learnThreshold(bits, measures, "duty-cycle")
-	if err != nil {
-		return 0, err
-	}
-	c.threshold = threshold
-	return gap, nil
-}
-
-// Transmit sends bits (1 bit per window) and decodes them against the
-// calibrated threshold.
-func (c *ClockMod) Transmit(bits []int) (*Result, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if c.threshold == 0 {
-		return nil, fmt.Errorf("channels: clockmod channel not calibrated")
-	}
-	measures, err := c.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	return finish(bits, measures, c.threshold, units.Duration(len(bits))*c.BitPeriod), nil
-}
-
-// RawThroughputBPS is the window-rate bound on throughput.
-func (c *ClockMod) RawThroughputBPS() float64 {
-	return 1 / c.BitPeriod.Seconds()
 }

@@ -3,39 +3,11 @@ package channels
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
 )
-
-// Retire is a retirement-unit contention channel between SMT siblings
-// (arXiv 2307.12486): the sender encodes 1 by running a scalar loop that
-// competes for the core's shared uop delivery/retire bandwidth, and 0 by
-// parking off-core. The receiver retires a fixed amount of scalar work each
-// slot and reads its own CPU_CLK_UNHALTED delta — contended slots take ~2×
-// the cycles of uncontended ones. Decoding from a performance counter
-// rather than rdtsc gives the family its own spy path: timer fuzzing does
-// not degrade it. Scalar kernels carry no PHI current, so the paper's
-// license/throttle machinery (and all three mitigations) never engage.
-type Retire struct {
-	m *soc.Machine
-	// SlotPeriod is one bit window.
-	SlotPeriod units.Duration
-	// SenderIters sizes each bit-1 contention burst; bursts repeat until
-	// the slot is nearly over, so occupancy does not depend on the clock
-	// frequency. Each burst must be shorter than contendTail even when
-	// SMT sharing halves its rate.
-	SenderIters int64
-	// ReceiverIters sizes the fixed measurement loop.
-	ReceiverIters int64
-	// ReceiverOffset places the measurement after the slot boundary.
-	ReceiverOffset units.Duration
-	// Sender and receiver share a core on sibling hardware threads.
-	SenderCore, SenderSlot     int
-	ReceiverCore, ReceiverSlot int
-
-	threshold float64
-}
 
 // spinLead is how long before a slot boundary a parked sender resumes
 // spinning so it reaches the boundary on-core. It must be shorter than the
@@ -47,162 +19,60 @@ const spinLead = 2 * units.Microsecond
 // into a following 0-slot.
 const contendTail = 3 * units.Microsecond
 
-// NewRetire builds the channel on sibling threads of core 0.
-func NewRetire(m *soc.Machine) (*Retire, error) {
+// NewRetire declares a retirement-unit contention channel between SMT
+// siblings of core 0 (arXiv 2307.12486): the sender encodes 1 by running
+// a scalar loop that competes for the core's shared uop delivery/retire
+// bandwidth, and 0 by parking off-core. The receiver retires a fixed
+// amount of scalar work each 20 µs slot and reads its own
+// CPU_CLK_UNHALTED delta — contended slots take ~2× the cycles of
+// uncontended ones. Decoding from a performance counter rather than
+// rdtsc gives the family its own spy path: timer fuzzing does not degrade
+// it. Scalar kernels carry no PHI current, so the paper's
+// license/throttle machinery (and all three mitigations) never engage.
+//
+// SenderIters sizes each bit-1 contention burst; bursts repeat until the
+// slot is nearly over, so occupancy does not depend on the clock
+// frequency. Each burst must be shorter than contendTail even when SMT
+// sharing halves its rate.
+func NewRetire(m *soc.Machine) (*core.Protocol, error) {
 	if m == nil {
 		return nil, fmt.Errorf("channels: nil machine")
 	}
 	if m.Proc.SMTWays < 2 {
 		return nil, fmt.Errorf("channels: retire channel needs an SMT processor; %s has none", m.Proc.Name)
 	}
-	return &Retire{
-		m:              m,
-		SlotPeriod:     20 * units.Microsecond,
-		SenderIters:    16,
-		ReceiverIters:  64,
-		ReceiverOffset: units.Microsecond,
-		SenderCore:     0, SenderSlot: 0,
-		ReceiverCore: 0, ReceiverSlot: 1,
+	return &core.Protocol{
+		Name:          "retire",
+		M:             m,
+		Lead:          20 * units.Microsecond,
+		Period:        20 * units.Microsecond,
+		Settle:        50 * units.Microsecond,
+		Sender:        core.Thread{Core: 0, Slot: 0},
+		Receiver:      core.Thread{Core: 0, Slot: 1},
+		Offset:        units.Microsecond,
+		SenderIters:   16,
+		ReceiverIters: 64,
+		Send:          contender{},
+		Read:          &core.Loop{Kernel: isa.Loop64b, Unhalted: true},
+		SlotBits:      1,
+		Contrast:      "retirement contention",
 	}, nil
 }
 
-func (r *Retire) slotStart(base units.Time, k int) units.Time {
-	return base.Add(units.Duration(k) * r.SlotPeriod)
-}
+// contender contends for the retire stage through a 1-slot and parks
+// off-core through a 0-slot, resuming just before the next boundary to
+// reach the spin loop.
+type contender struct{}
 
-// retireSender contends for the retire stage in 1-slots and parks off-core
-// in 0-slots.
-type retireSender struct {
-	r     *Retire
-	base  units.Time
-	bits  []int
-	idx   int
-	phase int // 0 wait, 1 decide, 2 contend
-}
-
-func (a *retireSender) Name() string { return "retire.sender" }
-
-func (a *retireSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if a.idx >= len(a.bits) {
-			return soc.Stop()
+func (contender) Send(s *core.Slot) (soc.Action, bool) {
+	if s.Sym == 0 {
+		if s.Step == 0 {
+			return soc.IdleFor(s.P.Period - spinLead), false
 		}
-		a.phase = 1
-		return soc.SpinUntil(a.r.slotStart(a.base, a.idx))
-	case 1:
-		if a.bits[a.idx] == 0 {
-			// Park off-core so the 0-slot runs uncontended, resuming
-			// just before the next boundary to reach the spin loop.
-			a.idx++
-			a.phase = 0
-			return soc.IdleFor(a.r.SlotPeriod - spinLead)
-		}
-		a.phase = 2
-		return soc.Exec(isa.Loop64b, a.r.SenderIters)
-	case 2:
-		slotEnd := a.r.slotStart(a.base, a.idx+1)
-		if env.Now() < slotEnd.Add(-contendTail) {
-			return soc.Exec(isa.Loop64b, a.r.SenderIters)
-		}
-		a.idx++
-		a.phase = 0
-		return a.Next(env, nil)
-	default:
-		panic("channels: retire sender in invalid phase")
+		return soc.Action{}, true
 	}
-}
-
-// retireReceiver retires fixed work each slot and records the unhalted
-// cycles it took.
-type retireReceiver struct {
-	r        *Retire
-	base     units.Time
-	slots    int
-	idx      int
-	phase    int // 0 wait, 1 measure
-	measures []float64
-}
-
-func (a *retireReceiver) Name() string { return "retire.receiver" }
-
-func (a *retireReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			// prev was the measurement loop: its unhalted-cycle delta is
-			// the reading (a counter, so TSC jitter never touches it).
-			a.measures = append(a.measures, prev.Counters.UnhaltedCycles)
-		}
-		if a.idx >= a.slots {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.r.slotStart(a.base, a.idx).Add(a.r.ReceiverOffset))
-	case 1:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(isa.Loop64b, a.r.ReceiverIters)
-	default:
-		panic("channels: retire receiver in invalid phase")
+	if s.Step == 0 || s.Env.Now() < s.End.Add(-contendTail) {
+		return soc.Exec(isa.Loop64b, s.P.SenderIters), false
 	}
-}
-
-func (r *Retire) run(bits []int) ([]float64, error) {
-	base := r.m.Now().Add(20 * units.Microsecond)
-	snd := &retireSender{r: r, base: base, bits: bits}
-	rcv := &retireReceiver{r: r, base: base, slots: len(bits),
-		measures: make([]float64, 0, len(bits))}
-	if _, err := r.m.Bind(r.SenderCore, r.SenderSlot, snd); err != nil {
-		return nil, err
-	}
-	if _, err := r.m.Bind(r.ReceiverCore, r.ReceiverSlot, rcv); err != nil {
-		return nil, err
-	}
-	r.m.RunUntil(r.slotStart(base, len(bits)).Add(50 * units.Microsecond))
-	if len(rcv.measures) != len(bits) {
-		return nil, fmt.Errorf("channels: retire measured %d of %d bits (simulation ended early?)",
-			len(rcv.measures), len(bits))
-	}
-	return rcv.measures, nil
-}
-
-// Calibrate learns the contended/uncontended decision threshold from
-// alternating 1,0 pairs and returns the mean cycle gap between them.
-func (r *Retire) Calibrate(pairs int) (float64, error) {
-	if pairs <= 0 {
-		return 0, fmt.Errorf("channels: pairs must be positive")
-	}
-	bits := alternating(pairs)
-	measures, err := r.run(bits)
-	if err != nil {
-		return 0, err
-	}
-	threshold, gap, err := learnThreshold(bits, measures, "retirement contention")
-	if err != nil {
-		return 0, err
-	}
-	r.threshold = threshold
-	return gap, nil
-}
-
-// Transmit sends bits (1 bit per slot) and decodes them against the
-// calibrated threshold.
-func (r *Retire) Transmit(bits []int) (*Result, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if r.threshold == 0 {
-		return nil, fmt.Errorf("channels: retire channel not calibrated")
-	}
-	measures, err := r.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	return finish(bits, measures, r.threshold, units.Duration(len(bits))*r.SlotPeriod), nil
-}
-
-// RawThroughputBPS is the slot-rate bound on throughput.
-func (r *Retire) RawThroughputBPS() float64 {
-	return 1 / r.SlotPeriod.Seconds()
+	return soc.Action{}, true
 }

@@ -12,7 +12,7 @@ import (
 // CRC-8 end-to-end check, retransmitting up to maxAttempts times until the
 // receiver validates the frame. It returns the attempt count and the last
 // transmission's statistics alongside the recovered payload.
-func (c *Channel) TransmitFrame(payload []byte, interleaveDepth, maxAttempts int) ([]byte, int, *TransmitResult, error) {
+func (c *Channel) TransmitFrame(payload []byte, interleaveDepth, maxAttempts int) ([]byte, int, *Result, error) {
 	if maxAttempts <= 0 {
 		maxAttempts = 1
 	}
@@ -20,7 +20,7 @@ func (c *Channel) TransmitFrame(payload []byte, interleaveDepth, maxAttempts int
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	var last *TransmitResult
+	var last *Result
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		res, err := c.Transmit(frame)
 		if err != nil {
@@ -38,7 +38,7 @@ func (c *Channel) TransmitFrame(payload []byte, interleaveDepth, maxAttempts int
 // Confusion builds the symbol confusion matrix of a transmission:
 // Confusion[s][d] counts transactions where symbol s was sent and d
 // decoded.
-func (r *TransmitResult) Confusion() [NumSymbols][NumSymbols]int {
+func (r *Result) Confusion() [NumSymbols][NumSymbols]int {
 	var m [NumSymbols][NumSymbols]int
 	for i := range r.Sent {
 		m[r.Sent[i]][r.Decoded[i]]++
@@ -51,7 +51,7 @@ func (r *TransmitResult) Confusion() [NumSymbols][NumSymbols]int {
 // of the empirical symbol confusion matrix, in bits per transaction. An
 // error-free transmission of a uniform symbol stream approaches 2 bits —
 // the paper's "two bits per communication transaction".
-func (r *TransmitResult) CapacityBitsPerSymbol() float64 {
+func (r *Result) CapacityBitsPerSymbol() float64 {
 	m := r.Confusion()
 	n := float64(len(r.Sent))
 	if n == 0 {
@@ -79,7 +79,7 @@ func (r *TransmitResult) CapacityBitsPerSymbol() float64 {
 
 // CapacityBPS converts the mutual-information estimate to bits/second at
 // the transmission's transaction rate.
-func (r *TransmitResult) CapacityBPS() float64 {
+func (r *Result) CapacityBPS() float64 {
 	if r.Elapsed <= 0 || len(r.Sent) == 0 {
 		return 0
 	}

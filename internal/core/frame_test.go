@@ -120,7 +120,7 @@ func TestConfusionDiagonalWhenClean(t *testing.T) {
 }
 
 func TestEmptyResultCapacity(t *testing.T) {
-	var r TransmitResult
+	var r Result
 	if r.CapacityBitsPerSymbol() != 0 || r.CapacityBPS() != 0 {
 		t.Fatal("empty result must have zero capacity")
 	}

@@ -131,8 +131,3 @@ func (p Params) Validate(cores, smtWays int) error {
 
 // BitsPerSlot is the payload of one transaction.
 const BitsPerSlot = 2
-
-// RawThroughputBPS returns the channel's nominal capacity in bits/second.
-func (p Params) RawThroughputBPS() float64 {
-	return BitsPerSlot / p.SlotPeriod.Seconds()
-}

@@ -95,14 +95,3 @@ func AllClasses() []Class {
 	}
 	return out
 }
-
-// ParseClass converts the paper's textual class names ("64b", "256b_Heavy",
-// ...) back to a Class.
-func ParseClass(s string) (Class, error) {
-	for i, n := range classNames {
-		if n == s {
-			return Class(i), nil
-		}
-	}
-	return 0, fmt.Errorf("isa: unknown instruction class %q", s)
-}

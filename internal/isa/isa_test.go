@@ -73,21 +73,6 @@ func TestClassAVX(t *testing.T) {
 	}
 }
 
-func TestParseClassRoundTrip(t *testing.T) {
-	for _, c := range AllClasses() {
-		got, err := ParseClass(c.String())
-		if err != nil {
-			t.Fatalf("ParseClass(%q): %v", c.String(), err)
-		}
-		if got != c {
-			t.Fatalf("roundtrip %v → %v", c, got)
-		}
-	}
-	if _, err := ParseClass("1024b_Mega"); err == nil {
-		t.Fatal("expected error for unknown class")
-	}
-}
-
 func TestClassStringInvalid(t *testing.T) {
 	if Class(-1).String() != "Class(-1)" {
 		t.Fatalf("got %q", Class(-1).String())

@@ -120,27 +120,12 @@ func MachineOptions(k Kind, p model.Processor, seed int64) soc.Options {
 	return opts
 }
 
-// Channel is the mitigation evaluator's view of a covert channel:
-// calibrate a decision threshold (returning the observed signal gap in
-// cycles), then transmit a bit stream. *core.Channel is adapted to it
-// below; the channels package's families implement it via small wrappers
-// in internal/scenario.
-type Channel interface {
-	Calibrate(reps int) (gap float64, err error)
-	Transmit(bits []int) (ber, bps float64, err error)
-}
-
-// Factory builds a channel on an already-mitigated machine.
-type Factory func(m *soc.Machine) (Channel, error)
-
 // Assessment is the outcome of one (mitigation, channel) cell of Table 1.
 type Assessment struct {
 	Mitigation Kind
-	Channel    core.Kind
-	// ChannelName names the channel family (core.Kind strings for the
-	// paper's variants, the scenario kind for registry channels).
-	ChannelName string
-	Verdict     Verdict
+	// Channel is the paper variant graded (zero for other families).
+	Channel core.Kind
+	Verdict Verdict
 	// BER is the measured bit error rate (0.5 ≈ chance when the channel
 	// is dead; reported even when calibration failed, as 0.5).
 	BER float64
@@ -158,25 +143,17 @@ const (
 	berDead    = 0.35
 )
 
-// Evaluate grades one channel against one mitigation, transmitting a
-// pseudo-random payload of nBits bits.
+// Evaluate grades one of the paper's variants against one mitigation,
+// transmitting a pseudo-random payload of nBits bits.
 func Evaluate(k Kind, chKind core.Kind, proc model.Processor, nBits int, seed int64) (*Assessment, error) {
-	return EvaluatePooled(nil, k, chKind, proc, nBits, seed)
+	return evaluateKind(nil, k, chKind, proc, nBits, seed)
 }
 
-// EvaluatePooled is Evaluate drawing its machine from a pool (nil
-// constructs one, exactly like Evaluate). The assessment is identical
-// either way — recycled machines replay byte-identically — so the pool
-// only changes wall-clock.
-func EvaluatePooled(pool *soc.Pool, k Kind, chKind core.Kind, proc model.Processor, nBits int, seed int64) (*Assessment, error) {
-	a, err := EvaluateChannelPooled(pool, k, chKind.String(), proc, nBits, 8, seed,
-		func(m *soc.Machine) (Channel, error) {
-			ch, err := core.New(m, core.DefaultParams(chKind, proc))
-			if err != nil {
-				return nil, err
-			}
-			return coreChannel{ch}, nil
-		})
+// evaluateKind is Evaluate drawing its machine from a pool.
+func evaluateKind(pool *soc.Pool, k Kind, chKind core.Kind, proc model.Processor, nBits int, seed int64) (*Assessment, error) {
+	a, err := EvaluatePooled(pool, k, proc, nBits, seed, func(m *soc.Machine) (*core.Protocol, error) {
+		return core.NewProtocol(m, core.DefaultParams(chKind, proc))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -184,34 +161,18 @@ func EvaluatePooled(pool *soc.Pool, k Kind, chKind core.Kind, proc model.Process
 	return a, nil
 }
 
-// coreChannel adapts *core.Channel (the paper's multi-level channel) to
-// the evaluator's Channel interface.
-type coreChannel struct{ ch *core.Channel }
+// calibReps is the calibration depth of every graded channel.
+const calibReps = 8
 
-func (c coreChannel) Calibrate(reps int) (float64, error) {
-	cal, err := c.ch.Calibrate(reps)
-	if err != nil {
-		return 0, err
-	}
-	return cal.Gap, nil
-}
-
-func (c coreChannel) Transmit(bits []int) (float64, float64, error) {
-	res, err := c.ch.Transmit(bits)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.BER, res.ThroughputBPS, nil
-}
-
-// EvaluateChannelPooled grades an arbitrary channel family against a
-// mitigation: build the mitigated machine, construct the channel on it,
-// calibrate (failure means the mitigation killed the signal), transmit a
-// pseudo-random payload, and grade the error rate. The operation order —
-// acquire, construct, calibrate, then draw payload bits from the machine's
-// RNG — is part of the determinism contract: recycled machines replay it
-// byte-identically.
-func EvaluateChannelPooled(pool *soc.Pool, k Kind, name string, proc model.Processor, nBits, calibReps int, seed int64, f Factory) (*Assessment, error) {
+// EvaluatePooled grades any channel family against a mitigation: build
+// the mitigated machine (from the pool; nil constructs one), declare the
+// channel on it, calibrate (failure means the mitigation killed the
+// signal), transmit a pseudo-random payload, and grade the error rate.
+// The operation order — acquire, declare, calibrate, then draw payload
+// bits from the machine's RNG — is part of the determinism contract:
+// recycled machines replay it byte-identically, so the pool only changes
+// wall-clock.
+func EvaluatePooled(pool *soc.Pool, k Kind, proc model.Processor, nBits int, seed int64, build func(m *soc.Machine) (*core.Protocol, error)) (*Assessment, error) {
 	if nBits <= 0 || nBits%2 != 0 {
 		return nil, fmt.Errorf("mitigate: nBits must be positive and even, got %d", nBits)
 	}
@@ -220,11 +181,11 @@ func EvaluateChannelPooled(pool *soc.Pool, k Kind, name string, proc model.Proce
 		return nil, err
 	}
 	defer pool.Release(m)
-	ch, err := f(m)
+	ch, err := build(m)
 	if err != nil {
 		return nil, err
 	}
-	a := &Assessment{Mitigation: k, ChannelName: name}
+	a := &Assessment{Mitigation: k}
 
 	gap, err := ch.Calibrate(calibReps)
 	if err != nil {
@@ -240,20 +201,20 @@ func EvaluateChannelPooled(pool *soc.Pool, k Kind, name string, proc model.Proce
 	for i := range bits {
 		bits[i] = rng.Intn(2)
 	}
-	ber, bps, err := ch.Transmit(bits)
+	res, err := ch.Transmit(bits)
 	if err != nil {
 		return nil, err
 	}
-	a.BER = ber
+	a.BER = res.BER
 	switch {
-	case ber >= berDead:
+	case a.BER >= berDead:
 		a.Verdict = Mitigated
-	case ber > berPartial:
+	case a.BER > berPartial:
 		a.Verdict = Partial
-		a.EffectiveBPS = bps * (1 - ber)
+		a.EffectiveBPS = res.ThroughputBPS * (1 - a.BER)
 	default:
 		a.Verdict = Unaffected
-		a.EffectiveBPS = bps * (1 - ber)
+		a.EffectiveBPS = res.ThroughputBPS * (1 - a.BER)
 	}
 	return a, nil
 }
@@ -275,7 +236,7 @@ func EvaluateAll(proc model.Processor, nBits int, seed int64) ([]*Assessment, er
 			if ck == core.CrossCore && proc.Cores < 2 {
 				continue
 			}
-			a, err := EvaluatePooled(pool, mk, ck, proc, nBits, seed+int64(mk)*17+int64(ck)*3)
+			a, err := evaluateKind(pool, mk, ck, proc, nBits, seed+int64(mk)*17+int64(ck)*3)
 			if err != nil {
 				return nil, fmt.Errorf("mitigate: %v × %v: %w", mk, ck, err)
 			}

@@ -11,29 +11,36 @@ import (
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// allocCase is one cell shape the allocation test measures at two
-// payload sizes.
+// allocCase is one cell shape the allocation test measures at 16 bits
+// and at large bits.
 type allocCase struct {
-	name string
-	spec Scenario
+	name  string
+	spec  Scenario
+	large int
 }
 
 // allocCases lists every channel kind quiet and under interrupt noise
 // (retire quiet only, as the benchmark grid runs it: its calibration
-// finds no contrast under interrupts on some seeds), plus every kind's
-// mitigation-eval under no mitigation and per-core regulators.
+// finds no contrast under interrupts on some seeds), every kind's
+// mitigation-eval under no mitigation and per-core regulators, and every
+// baseline. The kinds are measured at 1024 bits; the baselines' slots
+// last milliseconds, so 256 bits already spans seconds of simulated
+// time.
 func allocCases() []allocCase {
 	var cases []allocCase
 	noisy := &Noise{InterruptsPerSec: 2000}
 	for _, k := range ChannelKindNames() {
-		cases = append(cases, allocCase{k + "/quiet", Scenario{Role: RoleChannel, Kind: k}})
+		cases = append(cases, allocCase{k + "/quiet", Scenario{Role: RoleChannel, Kind: k}, 1024})
 		if k != KindRetire {
-			cases = append(cases, allocCase{k + "/noisy", Scenario{Role: RoleChannel, Kind: k, Noise: noisy}})
+			cases = append(cases, allocCase{k + "/noisy", Scenario{Role: RoleChannel, Kind: k, Noise: noisy}, 1024})
 		}
 		for _, mit := range []string{"none", "percore-vr"} {
 			cases = append(cases, allocCase{k + "/mitigation-eval/" + mit,
-				Scenario{Role: RoleMitigation, Kind: k, Mitigation: mit}})
+				Scenario{Role: RoleMitigation, Kind: k, Mitigation: mit}, 1024})
 		}
+	}
+	for _, b := range BaselineNames() {
+		cases = append(cases, allocCase{"baseline/" + b, Scenario{Role: RoleBaseline, Baseline: b}, 256})
 	}
 	return cases
 }
@@ -64,7 +71,7 @@ func cellAllocs(t *testing.T, pool *soc.Pool, s Scenario, bits int) float64 {
 // per-cell cost (machine acquire, agents, result slices) and must not
 // grow with the number of transmitted bits — each bit is several PMU
 // license transitions, so any per-transition garbage shows up 64× in
-// the 1024-bit cell.
+// the 1024-bit cell (16× in a baseline's 256-bit cell).
 func TestCellAllocsIndependentOfBits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 1024-bit cells")
@@ -84,13 +91,13 @@ func TestCellAllocsIndependentOfBits(t *testing.T) {
 	for _, c := range allocCases() {
 		t.Run(c.name, func(t *testing.T) {
 			small := cellAllocs(t, pool, c.spec, 16)
-			large := cellAllocs(t, pool, c.spec, 1024)
-			t.Logf("allocs per cell: 16 bits %.0f, 1024 bits %.0f", small, large)
+			large := cellAllocs(t, pool, c.spec, c.large)
+			t.Logf("allocs per cell: 16 bits %.0f, %d bits %.0f", small, c.large, large)
 			if large > small {
-				t.Errorf("1024-bit cell allocates %.0f objects, 16-bit cell %.0f: per-cell allocations grow with bits", large, small)
+				t.Errorf("%d-bit cell allocates %.0f objects, 16-bit cell %.0f: per-cell allocations grow with bits", c.large, large, small)
 			}
 			if large >= 100 {
-				t.Errorf("1024-bit cell allocates %.0f objects, want < 100", large)
+				t.Errorf("%d-bit cell allocates %.0f objects, want < 100", c.large, large)
 			}
 		})
 	}

@@ -1,14 +1,13 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"ichannels/internal/baselines"
+	"ichannels/internal/channels"
 	"ichannels/internal/core"
 	"ichannels/internal/mitigate"
-	"ichannels/internal/model"
 	"ichannels/internal/soc"
 )
 
@@ -21,7 +20,7 @@ import (
 // schema enums, the validate acceptance set, and these keys agree).
 
 // kindSpec is one registered channel kind: its preconditions, defaults,
-// and the two executors (role channel, and role mitigation-eval).
+// and the protocol that roles channel and mitigation-eval run.
 type kindSpec struct {
 	name string
 	// describe is a one-line description for docs and CLI help; source
@@ -42,14 +41,12 @@ type kindSpec struct {
 	// noSenderIters rejects the params.sender_iters override for kinds
 	// whose sender is a software actor with no loop length.
 	noSenderIters bool
-	// coreKind is the paper-variant enum for kinds backed by
-	// core.Channel (hasCore false for the channels-package families).
+	// coreKind is the paper-variant enum the spy role needs (hasCore
+	// false for the channels-package families).
 	hasCore  bool
 	coreKind core.Kind
-	// run executes role channel for this kind.
-	run func(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.Pool) error
-	// evalMitigation grades the kind under one defense.
-	evalMitigation func(pool *soc.Pool, mk mitigate.Kind, proc model.Processor, nBits int, seed int64) (*mitigate.Assessment, error)
+	// protocol declares the kind's channel on a machine.
+	protocol func(m *soc.Machine) (*core.Protocol, error)
 }
 
 // New channel-family kind names (the paper's three are declared in
@@ -70,8 +67,7 @@ var kindRegistry = []*kindSpec{
 		defaultCalibReps: 6,
 		hasCore:          true,
 		coreKind:         core.SameThread,
-		run:              runCoreKind(core.SameThread),
-		evalMitigation:   evalCoreKind(core.SameThread),
+		protocol:         paperKind(core.SameThread),
 	},
 	{
 		name:             KindSMT,
@@ -83,8 +79,7 @@ var kindRegistry = []*kindSpec{
 		defaultCalibReps: 6,
 		hasCore:          true,
 		coreKind:         core.SMT,
-		run:              runCoreKind(core.SMT),
-		evalMitigation:   evalCoreKind(core.SMT),
+		protocol:         paperKind(core.SMT),
 	},
 	{
 		name:             KindCores,
@@ -96,8 +91,7 @@ var kindRegistry = []*kindSpec{
 		defaultCalibReps: 6,
 		hasCore:          true,
 		coreKind:         core.CrossCore,
-		run:              runCoreKind(core.CrossCore),
-		evalMitigation:   evalCoreKind(core.CrossCore),
+		protocol:         paperKind(core.CrossCore),
 	},
 	{
 		name:             KindRetire,
@@ -106,8 +100,7 @@ var kindRegistry = []*kindSpec{
 		requiresSMT:      true,
 		defaultBits:      64,
 		defaultCalibReps: 6,
-		run:              runRetire,
-		evalMitigation:   evalRetireMitigation,
+		protocol:         channels.NewRetire,
 	},
 	{
 		name:             KindClockMod,
@@ -117,8 +110,7 @@ var kindRegistry = []*kindSpec{
 		defaultBits:      32,
 		defaultCalibReps: 4,
 		noSenderIters:    true,
-		run:              runClockMod,
-		evalMitigation:   evalClockModMitigation,
+		protocol:         channels.NewClockMod,
 	},
 }
 
@@ -128,18 +120,39 @@ type baselineSpec struct {
 	defaultBits      int
 	defaultCalibReps int
 	minCores         int
-	construct        func(m *soc.Machine) (baselineChannel, error)
+	protocol         func(m *soc.Machine) (*core.Protocol, error)
 }
 
 var baselineRegistry = []*baselineSpec{
-	{BaselineNetSpectre, 64, 6, 0,
-		func(m *soc.Machine) (baselineChannel, error) { return baselines.NewNetSpectre(m) }},
-	{BaselineTurboCC, 12, 3, 2,
-		func(m *soc.Machine) (baselineChannel, error) { return baselines.NewTurboCC(m) }},
-	{BaselineDFScovert, 10, 3, 2,
-		func(m *soc.Machine) (baselineChannel, error) { return baselines.NewDFScovert(m) }},
-	{BaselinePowerT, 24, 4, 2,
-		func(m *soc.Machine) (baselineChannel, error) { return baselines.NewPowerT(m) }},
+	{BaselineNetSpectre, 64, 6, 0, baselines.NewNetSpectre},
+	{BaselineTurboCC, 12, 3, 2, baselines.NewTurboCC},
+	{BaselineDFScovert, 10, 3, 2, baselines.NewDFScovert},
+	{BaselinePowerT, 24, 4, 2, baselines.NewPowerT},
+}
+
+// paperKind declares one of the paper's variants with the processor
+// profile's default transaction parameters.
+func paperKind(k core.Kind) func(m *soc.Machine) (*core.Protocol, error) {
+	return func(m *soc.Machine) (*core.Protocol, error) {
+		return core.NewProtocol(m, core.DefaultParams(k, m.Proc))
+	}
+}
+
+// protocol returns the channel the spec transmits over: its kind's in
+// role channel, its baseline's in role baseline.
+func (n Scenario) protocol() (func(m *soc.Machine) (*core.Protocol, error), error) {
+	if n.Role == RoleBaseline {
+		bs, ok := baselineByName[n.Baseline]
+		if !ok {
+			return nil, fmt.Errorf("scenario: unknown baseline %q", n.Baseline)
+		}
+		return bs.protocol, nil
+	}
+	ks, ok := kindByName[n.Kind]
+	if !ok {
+		return nil, errUnknownKind(n.Kind)
+	}
+	return ks.protocol, nil
 }
 
 // mitigationSpec maps a canonical mitigation name (plus accepted alias

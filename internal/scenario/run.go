@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ichannels/internal/baselines"
-	"ichannels/internal/channels"
 	"ichannels/internal/core"
 	"ichannels/internal/ecc"
 	"ichannels/internal/exp"
@@ -135,10 +133,8 @@ func (r Runner) RunSeeded(ctx context.Context, s Scenario, seed int64) (*Result,
 	}
 	var err error
 	switch n.Role {
-	case RoleChannel:
-		err = runChannel(ctx, n, seed, res, r.Machines)
-	case RoleBaseline:
-		err = runBaseline(ctx, n, seed, res, r.Machines)
+	case RoleChannel, RoleBaseline:
+		err = runProtocol(ctx, n, seed, res, r.Machines)
 	case RoleSpy:
 		err = runSpy(ctx, n, seed, res, r.Machines)
 	case RoleMitigation:
@@ -239,83 +235,15 @@ func decodePayload(n Scenario, res *Result) {
 	res.DecodedPayload = string(raw)
 }
 
-// runChannel dispatches role channel to the kind's registered executor.
-func runChannel(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.Pool) error {
-	ks, ok := kindByName[n.Kind]
-	if !ok {
-		return errUnknownKind(n.Kind)
+// runProtocol calibrates and transmits over one channel protocol — a
+// registered kind in role channel, a baseline in role baseline — and
+// fills the envelope. The baseline role's envelope carries neither
+// symbol errors nor extras.
+func runProtocol(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.Pool) error {
+	build, err := n.protocol()
+	if err != nil {
+		return err
 	}
-	return ks.run(ctx, n, seed, res, pool)
-}
-
-// runCoreKind builds the registry executor for one of the paper's
-// multi-level variants: calibrate and transmit over core.Channel.
-func runCoreKind(kind core.Kind) func(context.Context, Scenario, int64, *Result, *soc.Pool) error {
-	return func(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.Pool) error {
-		proc, err := model.ByName(n.Processor)
-		if err != nil {
-			return err
-		}
-		m, err := machineFor(n, proc, seed, pool)
-		if err != nil {
-			return err
-		}
-		defer pool.Release(m)
-		params := core.DefaultParams(kind, proc)
-		if p := n.Params; p != nil {
-			if p.SlotPeriodUS > 0 {
-				params.SlotPeriod = units.Duration(p.SlotPeriodUS) * units.Microsecond
-			}
-			if p.SenderIters > 0 {
-				params.SenderIters = p.SenderIters
-			}
-			if p.ReceiverIters > 0 {
-				params.ReceiverIters = p.ReceiverIters
-			}
-			if p.ReceiverOffsetUS > 0 {
-				params.ReceiverOffset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
-			}
-		}
-		ch, err := core.New(m, params)
-		if err != nil {
-			return err
-		}
-		cal, err := ch.Calibrate(effectiveCalibReps(n))
-		if err != nil {
-			return fmt.Errorf("scenario: calibration failed: %w", err)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		bits, err := sendBits(n, seed)
-		if err != nil {
-			return err
-		}
-		tr, err := ch.Transmit(bits)
-		if err != nil {
-			return err
-		}
-		finishTransmission(res, tr.SentBits, tr.DecodedBits, tr.BER, tr.ThroughputBPS, tr.Elapsed)
-		res.SymbolErrors = tr.SymbolErrors
-		res.extra("calibration_gap_cycles", cal.Gap)
-		res.extra("raw_throughput_bps", params.RawThroughputBPS())
-		decodePayload(n, res)
-		return nil
-	}
-}
-
-// registryChannel is the shared surface of the channels-package families
-// (retire, clockmod).
-type registryChannel interface {
-	Calibrate(pairs int) (float64, error)
-	Transmit(bits []int) (*channels.Result, error)
-}
-
-// runRegistryChannel calibrates and transmits over a channels-package
-// family, mirroring the core-variant flow (same operation order, same
-// envelope fields).
-func runRegistryChannel(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.Pool,
-	build func(m *soc.Machine) (registryChannel, error), rawBPS func(ch registryChannel) float64) error {
 	proc, err := model.ByName(n.Processor)
 	if err != nil {
 		return err
@@ -328,6 +256,20 @@ func runRegistryChannel(ctx context.Context, n Scenario, seed int64, res *Result
 	ch, err := build(m)
 	if err != nil {
 		return err
+	}
+	if p := n.Params; p != nil {
+		if p.SlotPeriodUS > 0 {
+			ch.Period = units.Duration(p.SlotPeriodUS) * units.Microsecond
+		}
+		if p.SenderIters > 0 {
+			ch.SenderIters = p.SenderIters
+		}
+		if p.ReceiverIters > 0 {
+			ch.ReceiverIters = p.ReceiverIters
+		}
+		if p.ReceiverOffsetUS > 0 {
+			ch.Offset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
+		}
 	}
 	gap, err := ch.Calibrate(effectiveCalibReps(n))
 	if err != nil {
@@ -345,108 +287,11 @@ func runRegistryChannel(ctx context.Context, n Scenario, seed int64, res *Result
 		return err
 	}
 	finishTransmission(res, tr.SentBits, tr.DecodedBits, tr.BER, tr.ThroughputBPS, tr.Elapsed)
-	res.SymbolErrors = tr.SymbolErrors
-	res.extra("calibration_gap_cycles", gap)
-	res.extra("raw_throughput_bps", rawBPS(ch))
-	decodePayload(n, res)
-	return nil
-}
-
-// runRetire executes role channel for the retirement-contention family.
-func runRetire(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.Pool) error {
-	return runRegistryChannel(ctx, n, seed, res, pool,
-		func(m *soc.Machine) (registryChannel, error) {
-			ch, err := channels.NewRetire(m)
-			if err != nil {
-				return nil, err
-			}
-			if p := n.Params; p != nil {
-				if p.SlotPeriodUS > 0 {
-					ch.SlotPeriod = units.Duration(p.SlotPeriodUS) * units.Microsecond
-				}
-				if p.SenderIters > 0 {
-					ch.SenderIters = p.SenderIters
-				}
-				if p.ReceiverIters > 0 {
-					ch.ReceiverIters = p.ReceiverIters
-				}
-				if p.ReceiverOffsetUS > 0 {
-					ch.ReceiverOffset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
-				}
-			}
-			return ch, nil
-		},
-		func(ch registryChannel) float64 { return ch.(*channels.Retire).RawThroughputBPS() })
-}
-
-// runClockMod executes role channel for the clock-modulation family. The
-// generic slot/receiver knobs map onto its window vocabulary
-// (slot_period_us → bit window, receiver_iters → measurement loop,
-// receiver_offset_us → in-window measurement offset); sender_iters is
-// rejected by validation since the sender is a single MSR write.
-func runClockMod(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.Pool) error {
-	return runRegistryChannel(ctx, n, seed, res, pool,
-		func(m *soc.Machine) (registryChannel, error) {
-			ch, err := channels.NewClockMod(m)
-			if err != nil {
-				return nil, err
-			}
-			if p := n.Params; p != nil {
-				if p.SlotPeriodUS > 0 {
-					ch.BitPeriod = units.Duration(p.SlotPeriodUS) * units.Microsecond
-				}
-				if p.ReceiverIters > 0 {
-					ch.MeasureIters = p.ReceiverIters
-				}
-				if p.ReceiverOffsetUS > 0 {
-					ch.MeasureOffset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
-				}
-			}
-			return ch, nil
-		},
-		func(ch registryChannel) float64 { return ch.(*channels.ClockMod).RawThroughputBPS() })
-}
-
-// baselineChannel is the shared shape of the four baseline channels.
-type baselineChannel interface {
-	Calibrate(pairs int) error
-	Transmit(bits []int) (*baselines.Result, error)
-}
-
-// runBaseline calibrates and transmits over one comparison channel.
-func runBaseline(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.Pool) error {
-	proc, err := model.ByName(n.Processor)
-	if err != nil {
-		return err
+	if n.Role == RoleChannel {
+		res.SymbolErrors = tr.SymbolErrors
+		res.extra("calibration_gap_cycles", gap)
+		res.extra("raw_throughput_bps", ch.RawThroughputBPS())
 	}
-	m, err := machineFor(n, proc, seed, pool)
-	if err != nil {
-		return err
-	}
-	defer pool.Release(m)
-	bs, ok := baselineByName[n.Baseline]
-	if !ok {
-		return fmt.Errorf("scenario: unknown baseline %q", n.Baseline)
-	}
-	ch, err := bs.construct(m)
-	if err != nil {
-		return err
-	}
-	if err := ch.Calibrate(effectiveCalibReps(n)); err != nil {
-		return fmt.Errorf("scenario: calibration failed: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	bits, err := sendBits(n, seed)
-	if err != nil {
-		return err
-	}
-	br, err := ch.Transmit(bits)
-	if err != nil {
-		return err
-	}
-	finishTransmission(res, br.SentBits, br.DecodedBits, br.BER, br.ThroughputBPS, br.Elapsed)
 	decodePayload(n, res)
 	return nil
 }
@@ -536,7 +381,7 @@ func runMitigation(n Scenario, seed int64, res *Result, pool *soc.Pool) error {
 	if !ok {
 		return errUnknownKind(n.Kind)
 	}
-	a, err := ks.evalMitigation(pool, mk, proc, n.Bits, seed)
+	a, err := mitigate.EvaluatePooled(pool, mk, proc, n.Bits, seed, ks.protocol)
 	if err != nil {
 		return err
 	}
@@ -546,56 +391,4 @@ func runMitigation(n Scenario, seed int64, res *Result, pool *soc.Pool) error {
 	res.Verdict = a.Verdict.String()
 	res.extra("calibration_gap_cycles", a.CalibrationGap)
 	return nil
-}
-
-// evalCoreKind builds the registry mitigation evaluator for one of the
-// paper's variants (the classic Table 1 harness).
-func evalCoreKind(ck core.Kind) func(*soc.Pool, mitigate.Kind, model.Processor, int, int64) (*mitigate.Assessment, error) {
-	return func(pool *soc.Pool, mk mitigate.Kind, proc model.Processor, nBits int, seed int64) (*mitigate.Assessment, error) {
-		return mitigate.EvaluatePooled(pool, mk, ck, proc, nBits, seed)
-	}
-}
-
-// mitChannel adapts a channels-package family to the mitigation
-// evaluator's Channel interface.
-type mitChannel struct{ ch registryChannel }
-
-func (a mitChannel) Calibrate(reps int) (float64, error) { return a.ch.Calibrate(reps) }
-
-func (a mitChannel) Transmit(bits []int) (float64, float64, error) {
-	res, err := a.ch.Transmit(bits)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.BER, res.ThroughputBPS, nil
-}
-
-// mitCalibReps matches the calibration depth the classic harness uses
-// for its variants.
-const mitCalibReps = 8
-
-// evalRetireMitigation grades the retirement-contention family under a
-// defense.
-func evalRetireMitigation(pool *soc.Pool, mk mitigate.Kind, proc model.Processor, nBits int, seed int64) (*mitigate.Assessment, error) {
-	return mitigate.EvaluateChannelPooled(pool, mk, KindRetire, proc, nBits, mitCalibReps, seed,
-		func(m *soc.Machine) (mitigate.Channel, error) {
-			ch, err := channels.NewRetire(m)
-			if err != nil {
-				return nil, err
-			}
-			return mitChannel{ch}, nil
-		})
-}
-
-// evalClockModMitigation grades the clock-modulation family under a
-// defense.
-func evalClockModMitigation(pool *soc.Pool, mk mitigate.Kind, proc model.Processor, nBits int, seed int64) (*mitigate.Assessment, error) {
-	return mitigate.EvaluateChannelPooled(pool, mk, KindClockMod, proc, nBits, mitCalibReps, seed,
-		func(m *soc.Machine) (mitigate.Channel, error) {
-			ch, err := channels.NewClockMod(m)
-			if err != nil {
-				return nil, err
-			}
-			return mitChannel{ch}, nil
-		})
 }

@@ -36,6 +36,15 @@ type PackReport struct {
 // are in a segment, Put deduplicates, and a re-run finishes whatever an
 // interrupted one left. On a packed or empty directory it is a no-op.
 func Pack(dir string) (*PackReport, error) {
+	entries, err := legacyEntries(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: pack: %w", err)
+	}
+	if len(entries) == 0 {
+		// Nothing to migrate: report the segments as they are and
+		// leave the directory untouched.
+		return &PackReport{Segments: segmentFiles(dir)}, nil
+	}
 	// With segments/ in place the open accepts the per-file corpus.
 	if err := os.MkdirAll(filepath.Join(dir, SegmentsDirName), 0o755); err != nil {
 		return nil, fmt.Errorf("store: pack: %w", err)
@@ -47,10 +56,6 @@ func Pack(dir string) (*PackReport, error) {
 	defer packed.Close()
 
 	rep := &PackReport{}
-	entries, err := legacyEntries(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: pack: %w", err)
-	}
 	for _, e := range entries {
 		data, err := os.ReadFile(e.path)
 		if err == nil {
@@ -87,6 +92,19 @@ func Pack(dir string) (*PackReport, error) {
 	rep.Segments = len(packed.segs)
 	packed.mu.RUnlock()
 	return rep, nil
+}
+
+// segmentFiles counts the segment files under dir/segments (0 when there
+// is no such directory).
+func segmentFiles(dir string) int {
+	des, _ := os.ReadDir(filepath.Join(dir, SegmentsDirName))
+	n := 0
+	for _, de := range des {
+		if !de.IsDir() && strings.HasSuffix(de.Name(), ".seg") && segFileRE.MatchString(de.Name()) {
+			n++
+		}
+	}
+	return n
 }
 
 // legacyEntry is one per-file entry awaiting migration.

@@ -156,6 +156,26 @@ func TestPackIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestPackEmptyDirWritesNothing: pack on an empty directory is the
+// no-op its doc promises — no segments directory, no file of any kind.
+func TestPackEmptyDirWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	rep, err := Pack(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Packed != 0 || rep.Segments != 0 {
+		t.Fatalf("report %+v on an empty directory", rep)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 0 {
+		t.Fatalf("pack left %d entries in an empty directory (first %q)", len(des), des[0].Name())
+	}
+}
+
 // TestPackLeavesCorruptEntriesInPlace: a per-file entry that fails
 // verification is reported and left for gc, never migrated.
 func TestPackLeavesCorruptEntriesInPlace(t *testing.T) {
