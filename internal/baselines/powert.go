@@ -25,7 +25,7 @@ func NewPowerT(m *soc.Machine) (*core.Protocol, error) {
 		Settle:   500 * units.Microsecond,
 		Sender:   core.Thread{Core: 0, Slot: 0},
 		Receiver: core.Thread{Core: 1, Slot: 0},
-		Send:     heater{fraction: 0.6},
+		Send:     &heater{fraction: 0.6},
 		Read:     &thermometer{poll: 500 * units.Microsecond},
 		SlotBits: 1,
 		Contrast: "thermal",
@@ -35,16 +35,16 @@ func NewPowerT(m *soc.Machine) (*core.Protocol, error) {
 // heater runs the power virus through the given fraction of a 1-window.
 type heater struct{ fraction float64 }
 
-func (h heater) Send(s *core.Slot) (soc.Action, bool) {
+func (h *heater) Send(s *core.Slot) soc.Action {
 	if s.Step > 0 || s.Sym == 0 {
-		return soc.Action{}, true
+		return soc.Stop()
 	}
 	heat := units.Duration(float64(s.P.Period) * h.fraction)
 	// Size the virus loop to roughly fill the heating window.
 	freq := s.Env.M.PMU.Frequency()
 	k := isa.Loop256Heavy
 	iters := int64(heat.Seconds()*float64(freq)/float64(k.UopsPerIter)) + 1
-	return soc.Exec(k, iters), false
+	return soc.Exec(k, iters)
 }
 
 // thermometer polls the thermal sensor through each window; its reading
@@ -55,7 +55,7 @@ type thermometer struct {
 	start, peak float64
 }
 
-func (t *thermometer) Read(s *core.Slot, _ *soc.Result) (soc.Action, float64, bool) {
+func (t *thermometer) Read(s *core.Slot, _ *soc.Result) soc.Action {
 	temp := float64(s.Env.M.ProbeScalars().Temp)
 	if s.Step == 0 {
 		t.start, t.peak = temp, temp
@@ -63,7 +63,8 @@ func (t *thermometer) Read(s *core.Slot, _ *soc.Result) (soc.Action, float64, bo
 		t.peak = temp
 	}
 	if s.Env.Now().Add(t.poll).Add(t.poll/2) >= s.End {
-		return soc.Action{}, t.peak - t.start, true
+		s.Reading = t.peak - t.start
+		return soc.Stop()
 	}
-	return soc.IdleFor(t.poll), 0, false
+	return soc.IdleFor(t.poll)
 }

@@ -52,7 +52,7 @@ func NewRetire(m *soc.Machine) (*core.Protocol, error) {
 		Offset:        units.Microsecond,
 		SenderIters:   16,
 		ReceiverIters: 64,
-		Send:          contender{},
+		Send:          &contender{},
 		Read:          &core.Loop{Kernel: isa.Loop64b, Unhalted: true},
 		SlotBits:      1,
 		Contrast:      "retirement contention",
@@ -64,15 +64,15 @@ func NewRetire(m *soc.Machine) (*core.Protocol, error) {
 // reach the spin loop.
 type contender struct{}
 
-func (contender) Send(s *core.Slot) (soc.Action, bool) {
+func (*contender) Send(s *core.Slot) soc.Action {
 	if s.Sym == 0 {
 		if s.Step == 0 {
-			return soc.IdleFor(s.P.Period - spinLead), false
+			return soc.IdleFor(s.P.Period - spinLead)
 		}
-		return soc.Action{}, true
+		return soc.Stop()
 	}
 	if s.Step == 0 || s.Env.Now() < s.End.Add(-contendTail) {
-		return soc.Exec(isa.Loop64b, s.P.SenderIters), false
+		return soc.Exec(isa.Loop64b, s.P.SenderIters)
 	}
-	return soc.Action{}, true
+	return soc.Stop()
 }

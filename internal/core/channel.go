@@ -29,7 +29,7 @@ func NewProtocol(m *soc.Machine, p Params) (*Protocol, error) {
 		Offset:        p.ReceiverOffset,
 		SenderIters:   p.SenderIters,
 		ReceiverIters: p.ReceiverIters,
-		Send:          phiSender{},
+		Send:          &phiSender{},
 		Read:          &Loop{Kernel: p.Kind.ReceiverKernel()},
 		SlotBits:      BitsPerSlot,
 	}, nil
@@ -38,11 +38,11 @@ func NewProtocol(m *soc.Machine, p Params) (*Protocol, error) {
 // phiSender runs the symbol's PHI loop for the protocol's SenderIters.
 type phiSender struct{}
 
-func (phiSender) Send(s *Slot) (soc.Action, bool) {
+func (*phiSender) Send(s *Slot) soc.Action {
 	if s.Step > 0 {
-		return soc.Action{}, true
+		return soc.Stop()
 	}
-	return soc.Exec(s.Sym.Kernel(), s.P.SenderIters), false
+	return soc.Exec(s.Sym.Kernel(), s.P.SenderIters)
 }
 
 // Channel is one configured IChannels covert channel on a machine: the

@@ -73,22 +73,25 @@ type Slot struct {
 	Step int
 	// End is when the slot ends.
 	End units.Time
+	// Reading is where a Reader leaves the slot's reading.
+	Reading float64
 }
 
 // Sender is a family's per-slot sender step. The runner calls Send once
 // the sender has spun to the slot start, and again each time the action
-// it returned completes, until Send reports the slot's work done.
+// it returned completes, until Send returns soc.Stop() to say the slot's
+// work is done (a step never ends its agent).
 type Sender interface {
-	Send(s *Slot) (act soc.Action, done bool)
+	Send(s *Slot) soc.Action
 }
 
 // Reader is a family's per-slot receiver reading. The runner calls Read
 // once the receiver is in place for the slot — after the spin to its
 // reading offset, or after the send on a one-thread channel — and again
 // each time the action it returned completes (prev is that action's
-// result), until Read returns the slot's reading.
+// result), until Read sets s.Reading and returns soc.Stop().
 type Reader interface {
-	Read(s *Slot, prev *soc.Result) (act soc.Action, reading float64, done bool)
+	Read(s *Slot, prev *soc.Result) soc.Action
 }
 
 // Decoder maps one slot reading to the symbol it carries.
@@ -106,14 +109,16 @@ type Loop struct {
 }
 
 // Read implements Reader.
-func (l *Loop) Read(s *Slot, prev *soc.Result) (soc.Action, float64, bool) {
+func (l *Loop) Read(s *Slot, prev *soc.Result) soc.Action {
 	if s.Step == 0 {
-		return soc.Exec(l.Kernel, s.P.ReceiverIters), 0, false
+		return soc.Exec(l.Kernel, s.P.ReceiverIters)
 	}
 	if l.Unhalted {
-		return soc.Action{}, prev.Counters.UnhaltedCycles, true
+		s.Reading = prev.Counters.UnhaltedCycles
+	} else {
+		s.Reading = float64(prev.ElapsedTSC())
 	}
-	return soc.Action{}, float64(prev.ElapsedTSC()), true
+	return soc.Stop()
 }
 
 // Burst sends a 1 by running Kernel for the protocol's SenderIters at the
@@ -121,11 +126,11 @@ func (l *Loop) Read(s *Slot, prev *soc.Result) (soc.Action, float64, bool) {
 type Burst struct{ Kernel isa.Kernel }
 
 // Send implements Sender.
-func (b *Burst) Send(s *Slot) (soc.Action, bool) {
+func (b *Burst) Send(s *Slot) soc.Action {
 	if s.Step > 0 || s.Sym == 0 {
-		return soc.Action{}, true
+		return soc.Stop()
 	}
-	return soc.Exec(b.Kernel, s.P.SenderIters), false
+	return soc.Exec(b.Kernel, s.P.SenderIters)
 }
 
 // DelayedWrite is the sender of a channel whose sender is a software
@@ -148,14 +153,14 @@ type DelayedWrite struct {
 }
 
 // Send implements Sender.
-func (w *DelayedWrite) Send(s *Slot) (soc.Action, bool) {
+func (w *DelayedWrite) Send(s *Slot) soc.Action {
 	if w.apply == nil {
 		w.m = s.P.M
 		w.apply = w.applyOldest
 	}
 	w.pending = append(w.pending, w.Values[s.Sym])
 	s.Env.M.Q.After(w.Latency, w.Label, w.apply)
-	return soc.Action{}, true
+	return soc.Stop()
 }
 
 func (w *DelayedWrite) applyOldest(units.Time) {
@@ -198,13 +203,18 @@ func (a *slotAgent) slotStart(k int) units.Time {
 }
 
 func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
+	// The slot's pointers are set once: rewriting them every slot would
+	// cost a GC write barrier per slot.
+	if a.s.Env == nil {
+		a.s.P, a.s.Env = a.p, env
+	}
 	for {
 		switch a.phase {
 		case phaseSpin:
 			if a.idx >= len(a.schedule) {
 				return soc.Stop()
 			}
-			a.s = Slot{P: a.p, Env: env, Sym: a.schedule[a.idx], End: a.slotStart(a.idx + 1)}
+			a.s.Sym, a.s.Step, a.s.End = a.schedule[a.idx], 0, a.slotStart(a.idx+1)
 			if a.send {
 				a.phase = phaseSend
 				return soc.SpinUntil(a.slotStart(a.idx))
@@ -212,8 +222,7 @@ func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 			a.phase = phaseRead
 			return soc.SpinUntil(a.slotStart(a.idx).Add(a.p.Offset))
 		case phaseSend:
-			act, done := a.p.Send.Send(&a.s)
-			if !done {
+			if act := a.p.Send.Send(&a.s); act.Kind != soc.ActStop {
 				a.s.Step++
 				return act
 			}
@@ -225,12 +234,11 @@ func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 			a.idx++
 			a.phase = phaseSpin
 		case phaseRead:
-			act, v, done := a.p.Read.Read(&a.s, prev)
-			if !done {
+			if act := a.p.Read.Read(&a.s, prev); act.Kind != soc.ActStop {
 				a.s.Step++
 				return act
 			}
-			a.readings = append(a.readings, v)
+			a.readings = append(a.readings, a.s.Reading)
 			a.idx++
 			a.phase = phaseSpin
 		}

@@ -17,6 +17,13 @@
 // Each transaction carries two bits, encoded as one of four PHI intensity
 // levels (paper Fig. 3), and transactions are paced by the 650 µs license
 // reset-time.
+//
+// The package also holds the slot protocol every covert channel in the
+// repository runs on (protocol.go): a Protocol declares a channel's slot
+// schedule, its sender's per-slot step, its receiver's per-slot reading
+// and its decoder rule, and one runner, one Calibrate/Transmit and one
+// Result serve the three variants here, the adopted families in
+// internal/channels and the baselines in internal/baselines alike.
 package core
 
 import (

@@ -5,9 +5,9 @@
 // mitigation evaluation, or a registered paper experiment — and
 // Run/Runner.Run is the single entry point that executes any of them.
 //
-// Every run path that used to need its own Go call sequence
-// (core.New+Calibrate+Transmit, baselines.New*, core.NewSpy,
-// mitigate.Evaluate, exp.Run) is reachable through a Scenario, so the
+// Every run path is reachable through a Scenario — calibrating and
+// transmitting over a kind's or a baseline's core.Protocol, the
+// core.NewSpy observer, mitigate.EvaluatePooled, exp.Run — so the
 // CLI, the Go facade, and the HTTP v1 API all speak the same language
 // and their results land in the same normalized Result envelope,
 // directly comparable across channel kinds, processors, baselines and
@@ -37,7 +37,7 @@ import (
 
 // Roles select which run path a Scenario describes.
 const (
-	// RoleChannel transmits over one of the three IChannels variants.
+	// RoleChannel transmits over one registered channel kind.
 	RoleChannel = "channel"
 	// RoleBaseline transmits over one of the four comparison channels.
 	RoleBaseline = "baseline"
