@@ -35,16 +35,16 @@ func NewPowerT(m *soc.Machine) (*core.Protocol, error) {
 // heater runs the power virus through the given fraction of a 1-window.
 type heater struct{ fraction float64 }
 
-func (h *heater) Send(s *core.Slot) soc.Action {
+func (h *heater) Send(s *core.Slot) core.Op {
 	if s.Step > 0 || s.Sym == 0 {
-		return soc.Stop()
+		return core.Op{}
 	}
 	heat := units.Duration(float64(s.P.Period) * h.fraction)
 	// Size the virus loop to roughly fill the heating window.
 	freq := s.Env.M.PMU.Frequency()
-	k := isa.Loop256Heavy
+	k := &isa.Loop256Heavy
 	iters := int64(heat.Seconds()*float64(freq)/float64(k.UopsPerIter)) + 1
-	return soc.Exec(k, iters)
+	return core.Op{Kernel: k, Iters: iters}
 }
 
 // thermometer polls the thermal sensor through each window; its reading
@@ -55,7 +55,7 @@ type thermometer struct {
 	start, peak float64
 }
 
-func (t *thermometer) Read(s *core.Slot, _ *soc.Result) soc.Action {
+func (t *thermometer) Read(s *core.Slot, _ *soc.Result) core.Op {
 	temp := float64(s.Env.M.ProbeScalars().Temp)
 	if s.Step == 0 {
 		t.start, t.peak = temp, temp
@@ -64,7 +64,7 @@ func (t *thermometer) Read(s *core.Slot, _ *soc.Result) soc.Action {
 	}
 	if s.Env.Now().Add(t.poll).Add(t.poll/2) >= s.End {
 		s.Reading = t.peak - t.start
-		return soc.Stop()
+		return core.Op{}
 	}
-	return soc.IdleFor(t.poll)
+	return core.Op{Idle: t.poll}
 }

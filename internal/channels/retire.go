@@ -64,15 +64,15 @@ func NewRetire(m *soc.Machine) (*core.Protocol, error) {
 // reach the spin loop.
 type contender struct{}
 
-func (*contender) Send(s *core.Slot) soc.Action {
+func (*contender) Send(s *core.Slot) core.Op {
 	if s.Sym == 0 {
 		if s.Step == 0 {
-			return soc.IdleFor(s.P.Period - spinLead)
+			return core.Op{Idle: s.P.Period - spinLead}
 		}
-		return soc.Stop()
+		return core.Op{}
 	}
 	if s.Step == 0 || s.Env.Now() < s.End.Add(-contendTail) {
-		return soc.Exec(isa.Loop64b, s.P.SenderIters)
+		return core.Op{Kernel: &isa.Loop64b, Iters: s.P.SenderIters}
 	}
-	return soc.Stop()
+	return core.Op{}
 }

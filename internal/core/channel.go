@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
 )
@@ -38,11 +39,19 @@ func NewProtocol(m *soc.Machine, p Params) (*Protocol, error) {
 // phiSender runs the symbol's PHI loop for the protocol's SenderIters.
 type phiSender struct{}
 
-func (*phiSender) Send(s *Slot) soc.Action {
-	if s.Step > 0 {
-		return soc.Stop()
+// phiKernels holds each symbol's sender kernel, so a step can point at it.
+var phiKernels = func() (k [NumSymbols]isa.Kernel) {
+	for s := range k {
+		k[s] = Symbol(s).Kernel()
 	}
-	return soc.Exec(s.Sym.Kernel(), s.P.SenderIters)
+	return k
+}()
+
+func (*phiSender) Send(s *Slot) Op {
+	if s.Step > 0 {
+		return Op{}
+	}
+	return Op{Kernel: &phiKernels[s.Sym], Iters: s.P.SenderIters}
 }
 
 // Channel is one configured IChannels covert channel on a machine: the
@@ -77,9 +86,15 @@ func (c *Channel) Calibrate(perSymbol int) (*Calibration, error) {
 }
 
 // RunSymbols performs one transaction per symbol and returns the
-// receiver's raw measurements (TSC cycles) in slot order.
+// receiver's raw measurements (TSC cycles) in slot order. Experiments use
+// it directly (the Fig. 13 distributions).
 func (c *Channel) RunSymbols(schedule []Symbol) ([]float64, error) {
-	return c.proto.RunSymbols(schedule)
+	for _, s := range schedule {
+		if !s.Valid() {
+			return nil, fmt.Errorf("core: invalid symbol %d in schedule", int(s))
+		}
+	}
+	return c.proto.run(BitsFromSymbols(schedule))
 }
 
 // Transmit sends a bit stream (even length) over the channel and decodes

@@ -35,25 +35,28 @@ func (c *Channel) TransmitFrame(payload []byte, interleaveDepth, maxAttempts int
 	return nil, maxAttempts, last, fmt.Errorf("core: frame unrecoverable after %d attempts (last BER %.4f)", maxAttempts, last.BER)
 }
 
-// Confusion builds the symbol confusion matrix of a transmission:
-// Confusion[s][d] counts transactions where symbol s was sent and d
-// decoded.
+// Confusion builds the symbol confusion matrix of a multi-level
+// transmission: Confusion[s][d] counts transactions where symbol s was
+// sent and d decoded.
 func (r *Result) Confusion() [NumSymbols][NumSymbols]int {
 	var m [NumSymbols][NumSymbols]int
-	for i := range r.Sent {
-		m[r.Sent[i]][r.Decoded[i]]++
+	sent, _ := SymbolsFromBits(r.SentBits)
+	decoded, _ := SymbolsFromBits(r.DecodedBits)
+	for i := range sent {
+		m[sent[i]][decoded[i]]++
 	}
 	return m
 }
 
 // CapacityBitsPerSymbol estimates the Shannon capacity of the discrete
-// channel observed during the transmission: the mutual information I(S;D)
-// of the empirical symbol confusion matrix, in bits per transaction. An
-// error-free transmission of a uniform symbol stream approaches 2 bits —
-// the paper's "two bits per communication transaction".
+// channel observed during a multi-level transmission: the mutual
+// information I(S;D) of the empirical symbol confusion matrix, in bits
+// per transaction. An error-free transmission of a uniform symbol stream
+// approaches 2 bits — the paper's "two bits per communication
+// transaction".
 func (r *Result) CapacityBitsPerSymbol() float64 {
 	m := r.Confusion()
-	n := float64(len(r.Sent))
+	n := float64(len(r.SentBits) / BitsPerSlot)
 	if n == 0 {
 		return 0
 	}
@@ -80,10 +83,9 @@ func (r *Result) CapacityBitsPerSymbol() float64 {
 // CapacityBPS converts the mutual-information estimate to bits/second at
 // the transmission's transaction rate.
 func (r *Result) CapacityBPS() float64 {
-	if r.Elapsed <= 0 || len(r.Sent) == 0 {
+	slots := len(r.SentBits) / BitsPerSlot
+	if r.Elapsed <= 0 || slots == 0 {
 		return 0
 	}
-	perSlot := r.CapacityBitsPerSymbol()
-	slots := float64(len(r.Sent))
-	return perSlot * slots / r.Elapsed.Seconds()
+	return r.CapacityBitsPerSymbol() * float64(slots) / r.Elapsed.Seconds()
 }

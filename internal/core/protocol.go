@@ -77,21 +77,37 @@ type Slot struct {
 	Reading float64
 }
 
+// Op is a step's next action: run Kernel for Iters, or, with no Kernel,
+// park off-core for Idle. The zero Op ends the step's part of the slot.
+// It is three words, so it returns in registers where a soc.Action would
+// be copied through memory on every step.
+type Op struct {
+	Kernel *isa.Kernel
+	Iters  int64
+	Idle   units.Duration
+}
+
+func (o Op) action() soc.Action {
+	if o.Kernel == nil {
+		return soc.IdleFor(o.Idle)
+	}
+	return soc.Exec(*o.Kernel, o.Iters)
+}
+
 // Sender is a family's per-slot sender step. The runner calls Send once
-// the sender has spun to the slot start, and again each time the action
-// it returned completes, until Send returns soc.Stop() to say the slot's
-// work is done (a step never ends its agent).
+// the sender has spun to the slot start, and again each time the Op it
+// returned completes, until Send returns the zero Op.
 type Sender interface {
-	Send(s *Slot) soc.Action
+	Send(s *Slot) Op
 }
 
 // Reader is a family's per-slot receiver reading. The runner calls Read
 // once the receiver is in place for the slot — after the spin to its
 // reading offset, or after the send on a one-thread channel — and again
-// each time the action it returned completes (prev is that action's
-// result), until Read sets s.Reading and returns soc.Stop().
+// each time the Op it returned completes (prev is its result), until
+// Read sets s.Reading and returns the zero Op.
 type Reader interface {
-	Read(s *Slot, prev *soc.Result) soc.Action
+	Read(s *Slot, prev *soc.Result) Op
 }
 
 // Decoder maps one slot reading to the symbol it carries.
@@ -109,16 +125,16 @@ type Loop struct {
 }
 
 // Read implements Reader.
-func (l *Loop) Read(s *Slot, prev *soc.Result) soc.Action {
+func (l *Loop) Read(s *Slot, prev *soc.Result) Op {
 	if s.Step == 0 {
-		return soc.Exec(l.Kernel, s.P.ReceiverIters)
+		return Op{Kernel: &l.Kernel, Iters: s.P.ReceiverIters}
 	}
 	if l.Unhalted {
 		s.Reading = prev.Counters.UnhaltedCycles
 	} else {
 		s.Reading = float64(prev.ElapsedTSC())
 	}
-	return soc.Stop()
+	return Op{}
 }
 
 // Burst sends a 1 by running Kernel for the protocol's SenderIters at the
@@ -126,11 +142,11 @@ func (l *Loop) Read(s *Slot, prev *soc.Result) soc.Action {
 type Burst struct{ Kernel isa.Kernel }
 
 // Send implements Sender.
-func (b *Burst) Send(s *Slot) soc.Action {
+func (b *Burst) Send(s *Slot) Op {
 	if s.Step > 0 || s.Sym == 0 {
-		return soc.Stop()
+		return Op{}
 	}
-	return soc.Exec(b.Kernel, s.P.SenderIters)
+	return Op{Kernel: &b.Kernel, Iters: s.P.SenderIters}
 }
 
 // DelayedWrite is the sender of a channel whose sender is a software
@@ -153,14 +169,14 @@ type DelayedWrite struct {
 }
 
 // Send implements Sender.
-func (w *DelayedWrite) Send(s *Slot) soc.Action {
+func (w *DelayedWrite) Send(s *Slot) Op {
 	if w.apply == nil {
 		w.m = s.P.M
 		w.apply = w.applyOldest
 	}
 	w.pending = append(w.pending, w.Values[s.Sym])
 	s.Env.M.Q.After(w.Latency, w.Label, w.apply)
-	return soc.Stop()
+	return Op{}
 }
 
 func (w *DelayedWrite) applyOldest(units.Time) {
@@ -188,7 +204,8 @@ const (
 type slotAgent struct {
 	p          *Protocol
 	base       units.Time
-	schedule   []Symbol
+	bits       []int // SlotBits per slot
+	slots      int
 	send, read bool
 	idx        int
 	phase      agentPhase
@@ -211,10 +228,10 @@ func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	for {
 		switch a.phase {
 		case phaseSpin:
-			if a.idx >= len(a.schedule) {
+			if a.idx >= a.slots {
 				return soc.Stop()
 			}
-			a.s.Sym, a.s.Step, a.s.End = a.schedule[a.idx], 0, a.slotStart(a.idx+1)
+			a.s.Sym, a.s.Step, a.s.End = a.p.symbol(a.bits, a.idx), 0, a.slotStart(a.idx+1)
 			if a.send {
 				a.phase = phaseSend
 				return soc.SpinUntil(a.slotStart(a.idx))
@@ -222,9 +239,9 @@ func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 			a.phase = phaseRead
 			return soc.SpinUntil(a.slotStart(a.idx).Add(a.p.Offset))
 		case phaseSend:
-			if act := a.p.Send.Send(&a.s); act.Kind != soc.ActStop {
+			if op := a.p.Send.Send(&a.s); op != (Op{}) {
 				a.s.Step++
-				return act
+				return op.action()
 			}
 			a.s.Step = 0
 			if a.read {
@@ -234,9 +251,9 @@ func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 			a.idx++
 			a.phase = phaseSpin
 		case phaseRead:
-			if act := a.p.Read.Read(&a.s, prev); act.Kind != soc.ActStop {
+			if op := a.p.Read.Read(&a.s, prev); op != (Op{}) {
 				a.s.Step++
-				return act
+				return op.action()
 			}
 			a.readings = append(a.readings, a.s.Reading)
 			a.idx++
@@ -245,29 +262,35 @@ func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	}
 }
 
-// RunSymbols sends one symbol per slot and returns the receiver's raw
-// readings in slot order. It is the primitive under Calibrate and
-// Transmit; experiments also use it directly (the Fig. 13
-// distributions).
-func (p *Protocol) RunSymbols(schedule []Symbol) ([]float64, error) {
-	if len(schedule) == 0 {
-		return nil, fmt.Errorf("core: empty schedule")
+// symbol returns the symbol slot k of a bit stream carries.
+func (p *Protocol) symbol(bits []int, k int) Symbol {
+	if p.SlotBits == 1 {
+		return Symbol(bits[k])
 	}
-	for _, s := range schedule {
-		if s < 0 || s >= 1<<p.SlotBits {
-			return nil, fmt.Errorf("core: invalid symbol %d in schedule", int(s))
-		}
+	return SymbolFromBits(bits[2*k], bits[2*k+1])
+}
+
+// run sends a bit stream, SlotBits per slot, and returns the receiver's
+// raw readings in slot order: the primitive under Calibrate, Transmit
+// and Channel.RunSymbols.
+func (p *Protocol) run(bits []int) ([]float64, error) {
+	if err := validBits(bits); err != nil {
+		return nil, err
 	}
+	if len(bits)%p.SlotBits != 0 {
+		return nil, fmt.Errorf("core: bit stream length %d is not a multiple of the %d bits a slot carries", len(bits), p.SlotBits)
+	}
+	slots := len(bits) / p.SlotBits
 	m := p.M
 	base := m.Now().Add(p.Lead)
 	// One reading per slot, sized up front so the per-slot append never
 	// reallocates.
-	rcv := &slotAgent{p: p, base: base, schedule: schedule, read: true,
-		readings: make([]float64, 0, len(schedule))}
+	rcv := &slotAgent{p: p, base: base, bits: bits, slots: slots, read: true,
+		readings: make([]float64, 0, slots)}
 	if p.Sender == p.Receiver {
 		rcv.send = true
 	} else {
-		snd := &slotAgent{p: p, base: base, schedule: schedule, send: true}
+		snd := &slotAgent{p: p, base: base, bits: bits, slots: slots, send: true}
 		if _, err := m.Bind(p.Sender.Core, p.Sender.Slot, snd); err != nil {
 			return nil, err
 		}
@@ -275,14 +298,14 @@ func (p *Protocol) RunSymbols(schedule []Symbol) ([]float64, error) {
 	if _, err := m.Bind(p.Receiver.Core, p.Receiver.Slot, rcv); err != nil {
 		return nil, err
 	}
-	m.RunUntil(rcv.slotStart(len(schedule)).Add(p.Settle))
+	m.RunUntil(rcv.slotStart(slots).Add(p.Settle))
 	if p.Restore != nil {
 		p.Restore(m)
 		m.RunFor(p.RestoreFor)
 	}
-	if len(rcv.readings) != len(schedule) {
+	if len(rcv.readings) != slots {
 		return nil, fmt.Errorf("core: %s took %d of %d readings (simulation ended early?)",
-			p.Name, len(rcv.readings), len(schedule))
+			p.Name, len(rcv.readings), slots)
 	}
 	return rcv.readings, nil
 }
@@ -297,17 +320,18 @@ func (p *Protocol) Calibrate(reps int) (gap float64, err error) {
 		return 0, fmt.Errorf("core: calibration repetitions must be positive")
 	}
 	levels := 1 << p.SlotBits
-	sent := make([]Symbol, 0, reps*levels)
+	bits := make([]int, 0, reps*levels*p.SlotBits)
 	for i := 0; i < reps; i++ {
 		for s := 0; s < levels; s++ {
-			sym := Symbol(s)
 			if p.SlotBits == 1 {
-				sym = Symbol(1 - s)
+				bits = append(bits, 1-s)
+			} else {
+				hi, lo := Symbol(s).Bits()
+				bits = append(bits, hi, lo)
 			}
-			sent = append(sent, sym)
 		}
 	}
-	readings, err := p.RunSymbols(sent)
+	readings, err := p.run(bits)
 	if err != nil {
 		return 0, err
 	}
@@ -318,7 +342,8 @@ func (p *Protocol) Calibrate(reps int) (gap float64, err error) {
 			groups[s] = make([]float64, 0, reps)
 		}
 		for i, r := range readings {
-			groups[sent[i]] = append(groups[sent[i]], r)
+			s := p.symbol(bits, i)
+			groups[s] = append(groups[s], r)
 		}
 		cal, err := NewCalibration(groups)
 		if err != nil {
@@ -327,7 +352,7 @@ func (p *Protocol) Calibrate(reps int) (gap float64, err error) {
 		dec, gap = cal, cal.Gap
 	} else {
 		var t Threshold
-		if t, gap, err = p.learnThreshold(sent, readings); err != nil {
+		if t, gap, err = p.learnThreshold(bits, readings); err != nil {
 			return 0, err
 		}
 		dec = t
@@ -358,11 +383,11 @@ func (t Threshold) Decode(reading float64) Symbol {
 // learnThreshold places the threshold midway between the mean 1- and
 // 0-readings and returns it with the gap between those means, which must
 // be positive in the protocol's declared polarity.
-func (p *Protocol) learnThreshold(sent []Symbol, readings []float64) (Threshold, float64, error) {
+func (p *Protocol) learnThreshold(bits []int, readings []float64) (Threshold, float64, error) {
 	var one, zero float64
 	var ones, zeros int
 	for i, r := range readings {
-		if sent[i] == 1 {
+		if bits[i] == 1 {
 			one += r
 			ones++
 		} else {
@@ -383,12 +408,10 @@ func (p *Protocol) learnThreshold(sent []Symbol, readings []float64) (Threshold,
 
 // Result reports one covert transmission over any channel.
 type Result struct {
-	// Sent and Decoded are the slot symbols (0 or 1 on a 1-bit channel).
-	Sent, Decoded []Symbol
+	// SentBits/DecodedBits are the bit streams, SlotBits per slot.
+	SentBits, DecodedBits []int
 	// Readings holds the receiver's raw per-slot reading.
 	Readings []float64
-	// SentBits/DecodedBits are the flattened bit streams.
-	SentBits, DecodedBits []int
 	// Elapsed is the channel time of the whole transmission.
 	Elapsed units.Duration
 	// ThroughputBPS is raw bits transmitted per second of channel time.
@@ -402,63 +425,35 @@ type Result struct {
 // Transmit sends a bit stream (SlotBits per slot) and decodes it with
 // the current calibration.
 func (p *Protocol) Transmit(bits []int) (*Result, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
 	if p.dec == nil {
 		return nil, fmt.Errorf("core: %s channel not calibrated; call Calibrate first", p.Name)
 	}
-	sent, err := p.symbols(bits)
-	if err != nil {
-		return nil, err
-	}
-	readings, err := p.RunSymbols(sent)
+	readings, err := p.run(bits)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
-		Sent:     sent,
-		Decoded:  make([]Symbol, len(readings)),
-		Readings: readings,
-		SentBits: bits,
-		Elapsed:  units.Duration(len(sent)) * p.Period,
+		SentBits:    bits,
+		DecodedBits: make([]int, len(bits)),
+		Readings:    readings,
+		Elapsed:     units.Duration(len(readings)) * p.Period,
 	}
 	for i, r := range readings {
-		res.Decoded[i] = p.dec.Decode(r)
-		if res.Decoded[i] != sent[i] {
+		d := p.dec.Decode(r)
+		if d != p.symbol(bits, i) {
 			res.SymbolErrors++
 		}
+		if p.SlotBits == 1 {
+			res.DecodedBits[i] = int(d)
+		} else {
+			res.DecodedBits[2*i], res.DecodedBits[2*i+1] = d.Bits()
+		}
 	}
-	res.DecodedBits = p.bits(res.Decoded)
 	res.BER = stats.BER(bits, res.DecodedBits)
 	if res.Elapsed > 0 {
 		res.ThroughputBPS = float64(len(bits)) / res.Elapsed.Seconds()
 	}
 	return res, nil
-}
-
-// symbols packs a bit stream into slot symbols.
-func (p *Protocol) symbols(bits []int) ([]Symbol, error) {
-	if p.SlotBits == BitsPerSlot {
-		return SymbolsFromBits(bits)
-	}
-	out := make([]Symbol, len(bits))
-	for i, b := range bits {
-		out[i] = Symbol(b)
-	}
-	return out, nil
-}
-
-// bits flattens slot symbols back into a bit stream.
-func (p *Protocol) bits(syms []Symbol) []int {
-	if p.SlotBits == BitsPerSlot {
-		return BitsFromSymbols(syms)
-	}
-	out := make([]int, len(syms))
-	for i, s := range syms {
-		out[i] = int(s)
-	}
-	return out
 }
 
 // validBits rejects empty streams and non-binary values.
