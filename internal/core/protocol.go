@@ -79,19 +79,13 @@ type Slot struct {
 
 // Op is a step's next action: run Kernel for Iters, or, with no Kernel,
 // park off-core for Idle. The zero Op ends the step's part of the slot.
-// It is three words, so it returns in registers where a soc.Action would
+// It is a few words, so it returns in registers where a soc.Action would
 // be copied through memory on every step.
 type Op struct {
 	Kernel *isa.Kernel
 	Iters  int64
 	Idle   units.Duration
-}
-
-func (o Op) action() soc.Action {
-	if o.Kernel == nil {
-		return soc.IdleFor(o.Idle)
-	}
-	return soc.Exec(*o.Kernel, o.Iters)
+	until  units.Time // the agent's own spin to a slot boundary
 }
 
 // Sender is a family's per-slot sender step. The runner calls Send once
@@ -220,6 +214,24 @@ func (a *slotAgent) slotStart(k int) units.Time {
 }
 
 func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
+	// One return per action kind, built from the small Op, keeps the
+	// agent to a single soc.Action construction per step.
+	op, stop := a.next(env, prev)
+	switch {
+	case stop:
+		return soc.Stop()
+	case op.Kernel != nil:
+		return soc.Exec(*op.Kernel, op.Iters)
+	case op.Idle != 0:
+		return soc.IdleFor(op.Idle)
+	default:
+		return soc.SpinUntil(op.until)
+	}
+}
+
+// next advances the agent to its next action: a spin to the slot start
+// (op.until), a family step's Op, or stop after the last slot.
+func (a *slotAgent) next(env *soc.Env, prev *soc.Result) (op Op, stop bool) {
 	// The slot's pointers are set once: rewriting them every slot would
 	// cost a GC write barrier per slot.
 	if a.s.Env == nil {
@@ -229,19 +241,19 @@ func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 		switch a.phase {
 		case phaseSpin:
 			if a.idx >= a.slots {
-				return soc.Stop()
+				return Op{}, true
 			}
 			a.s.Sym, a.s.Step, a.s.End = a.p.symbol(a.bits, a.idx), 0, a.slotStart(a.idx+1)
 			if a.send {
 				a.phase = phaseSend
-				return soc.SpinUntil(a.slotStart(a.idx))
+				return Op{until: a.slotStart(a.idx)}, false
 			}
 			a.phase = phaseRead
-			return soc.SpinUntil(a.slotStart(a.idx).Add(a.p.Offset))
+			return Op{until: a.slotStart(a.idx).Add(a.p.Offset)}, false
 		case phaseSend:
-			if op := a.p.Send.Send(&a.s); op != (Op{}) {
+			if op = a.p.Send.Send(&a.s); op != (Op{}) {
 				a.s.Step++
-				return op.action()
+				return op, false
 			}
 			a.s.Step = 0
 			if a.read {
@@ -251,9 +263,9 @@ func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 			a.idx++
 			a.phase = phaseSpin
 		case phaseRead:
-			if op := a.p.Read.Read(&a.s, prev); op != (Op{}) {
+			if op = a.p.Read.Read(&a.s, prev); op != (Op{}) {
 				a.s.Step++
-				return op.action()
+				return op, false
 			}
 			a.readings = append(a.readings, a.s.Reading)
 			a.idx++
