@@ -85,7 +85,6 @@ type Op struct {
 	Kernel *isa.Kernel
 	Iters  int64
 	Idle   units.Duration
-	until  units.Time // the agent's own spin to a slot boundary
 }
 
 // Sender is a family's per-slot sender step. The runner calls Send once
@@ -216,7 +215,7 @@ func (a *slotAgent) slotStart(k int) units.Time {
 func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	// One return per action kind, built from the small Op, keeps the
 	// agent to a single soc.Action construction per step.
-	op, stop := a.next(env, prev)
+	op, until, stop := a.next(env, prev)
 	switch {
 	case stop:
 		return soc.Stop()
@@ -225,13 +224,13 @@ func (a *slotAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	case op.Idle != 0:
 		return soc.IdleFor(op.Idle)
 	default:
-		return soc.SpinUntil(op.until)
+		return soc.SpinUntil(until)
 	}
 }
 
-// next advances the agent to its next action: a spin to the slot start
-// (op.until), a family step's Op, or stop after the last slot.
-func (a *slotAgent) next(env *soc.Env, prev *soc.Result) (op Op, stop bool) {
+// next advances the agent to its next action: a family step's Op, a
+// spin until a slot boundary, or stop after the last slot.
+func (a *slotAgent) next(env *soc.Env, prev *soc.Result) (op Op, until units.Time, stop bool) {
 	// The slot's pointers are set once: rewriting them every slot would
 	// cost a GC write barrier per slot.
 	if a.s.Env == nil {
@@ -241,19 +240,19 @@ func (a *slotAgent) next(env *soc.Env, prev *soc.Result) (op Op, stop bool) {
 		switch a.phase {
 		case phaseSpin:
 			if a.idx >= a.slots {
-				return Op{}, true
+				return Op{}, 0, true
 			}
 			a.s.Sym, a.s.Step, a.s.End = a.p.symbol(a.bits, a.idx), 0, a.slotStart(a.idx+1)
 			if a.send {
 				a.phase = phaseSend
-				return Op{until: a.slotStart(a.idx)}, false
+				return Op{}, a.slotStart(a.idx), false
 			}
 			a.phase = phaseRead
-			return Op{until: a.slotStart(a.idx).Add(a.p.Offset)}, false
+			return Op{}, a.slotStart(a.idx).Add(a.p.Offset), false
 		case phaseSend:
 			if op = a.p.Send.Send(&a.s); op != (Op{}) {
 				a.s.Step++
-				return op, false
+				return op, 0, false
 			}
 			a.s.Step = 0
 			if a.read {
@@ -265,13 +264,21 @@ func (a *slotAgent) next(env *soc.Env, prev *soc.Result) (op Op, stop bool) {
 		case phaseRead:
 			if op = a.p.Read.Read(&a.s, prev); op != (Op{}) {
 				a.s.Step++
-				return op, false
+				return op, 0, false
 			}
 			a.readings = append(a.readings, a.s.Reading)
 			a.idx++
 			a.phase = phaseSpin
 		}
 	}
+}
+
+// Validate rejects a slot schedule the runner cannot pace.
+func (p *Protocol) Validate() error {
+	if p.Period <= 0 {
+		return fmt.Errorf("core: slot period must be positive")
+	}
+	return nil
 }
 
 // symbol returns the symbol slot k of a bit stream carries.

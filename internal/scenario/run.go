@@ -270,6 +270,10 @@ func runProtocol(ctx context.Context, n Scenario, seed int64, res *Result, pool 
 		if p.ReceiverOffsetUS > 0 {
 			ch.Offset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
 		}
+		// A sub-microsecond slot_period_us truncates to zero.
+		if err := ch.Validate(); err != nil {
+			return err
+		}
 	}
 	gap, err := ch.Calibrate(effectiveCalibReps(n))
 	if err != nil {

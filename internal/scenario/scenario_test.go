@@ -223,6 +223,20 @@ func TestValidateRejects(t *testing.T) {
 
 // TestExperimentGenerators: the canned generators cover the registry
 // and inherit injection via Runner.ExpRun.
+// TestSubMicrosecondSlotRejected: slot_period_us passes validation when
+// positive but truncates to a zero slot below 1 µs; every kind must
+// refuse it at run time rather than pace slots zero apart (which made
+// the raw throughput +Inf, an envelope JSON cannot carry).
+func TestSubMicrosecondSlotRejected(t *testing.T) {
+	for _, k := range ChannelKindNames() {
+		s := Scenario{Role: RoleChannel, Kind: k, Processor: "Haswell", Bits: 4, Params: &Params{SlotPeriodUS: 0.5}}
+		_, err := Run(context.Background(), s)
+		if err == nil || !strings.Contains(err.Error(), "slot period must be positive") {
+			t.Errorf("%s: err = %v, want a slot period error", k, err)
+		}
+	}
+}
+
 func TestExperimentGenerators(t *testing.T) {
 	all := AllExperiments()
 	if len(all) != len(exp.IDs()) {
